@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -64,7 +65,17 @@ class _UsageError(Exception):
     pass
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a point such as "-1.5,2" is a positional value, not an option
+        self._negative_number_matcher = re.compile(
+            rf"^-{_NUMBER}(?:,-?{_NUMBER})*$"
+        )
+
     # argparse exits with code 2 on bad usage; route through the
     # validation path instead so exit codes stay as documented
     def error(self, message):
@@ -153,7 +164,7 @@ def cmd_learn(args) -> int:
         if args.trace_tsv:
             Path(args.trace_tsv).write_text(trace_to_tsv(trace), encoding="utf-8")
     else:
-        posterior = batch_update(model, data, zn_cap=args.zn_cap)
+        posterior = batch_update(model, data)
         doc = {"posterior": state_to_map(posterior)}
     if args.argmax:
         doc["argmax"] = _argmax_label(posterior)
@@ -216,7 +227,7 @@ def cmd_check(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("MARKOV_BAYES_SEED", str(DEFAULT_SEED)))
-    report = run_suite(args.suite, args.cases, seed, zn_cap=args.zn_cap)
+    report = run_suite(args.suite, args.cases, seed)
     summary = {
         "suite": report.suite,
         "cases": report.cases,
@@ -268,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="Model bundle JSON file.")
     p.add_argument("csv", help="Training CSV with an x,y header.")
     p.add_argument("--mode", choices=["seq", "batch"], default="batch")
-    p.add_argument("--zn-cap", type=int, default=8, help="Observation count above which batch updates switch to the factorized route.")
     p.add_argument("--trace-tsv", help="Also write the per-step posterior trace as TSV (seq mode only).")
     p.add_argument("--argmax", action="store_true", help="Include the most probable parameter label in the output.")
     p.add_argument("--out")
@@ -309,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="Defaults to MARKOV_BAYES_SEED, then 7.")
-    p.add_argument("--zn-cap", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

@@ -8,11 +8,11 @@ is what updating on data means here.
 
 Updates come in two flavours that provably agree: a sequential pass that
 inverts once per observation, conditioning each time on the previous
-posterior, and a batch pass that conditions a single replicated channel on
-the whole observation tuple at once.  The batch pass is materialized
-literally when the replicated observation space is small enough, and
-through the per-parameter likelihood product beyond that; the two routes
-are exactly equal wherever both run.
+posterior, and a batch pass that conditions on the whole observation tuple
+at once.  The batch pass runs as the per-parameter likelihood product that
+the replicated observation channel factors into; the literal
+replicated-channel construction stays here only as the oracle the law
+suites compare it against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .finstoch import (
     FinSpace,
     Kernel,
     State,
-    associator_inv,
     compose,
     copy,
     delta,
@@ -44,13 +43,8 @@ from .finstoch import (
     right_unitor_inv,
     state,
     state_tensor,
-    swap,
     tensor,
 )
-
-#: Entry budget for materializing the replicated observation channel; the
-#: dominating intermediate holds ``|M|^n * |Z|^n`` rationals.
-LITERAL_CELL_BUDGET = 8000
 
 
 @dataclass(frozen=True)
@@ -122,22 +116,19 @@ def observation_space(model: Model) -> FinSpace:
 def joint_channel(model: Model) -> Kernel:
     """The channel from parameters to joint input-output observations.
 
-    Built diagrammatically: introduce the input state beside the parameter,
-    duplicate the input, run the model on one copy, and swap so the input
-    coordinate comes first.  The entry at ``(m, (x, y))`` is
-    ``input_state(x) * channel(m, x)(y)``.
+    The entry at ``(m, (x, y))`` is ``input_state(x) * channel(m, x)(y)``:
+    the entrywise form of the diagram that introduces the input state beside
+    the parameter, copies the input and runs the model on one copy.  The
+    ``coincidence`` law suite checks it against that diagram.
     """
-    m, x = model.params, model.input_space
-    intro = compose(
-        right_unitor_inv(m), tensor(identity(m), model.input_state)
+    nx = len(model.input_space)
+    px = model.input_state.probs
+    rows = model.channel.rows
+    joint = tuple(
+        tuple(p * e for xi, p in enumerate(px) for e in rows[i * nx + xi])
+        for i in range(len(model.params))
     )
-    dup = compose(
-        tensor(identity(m), copy(x)), associator_inv(m, x, x)
-    )
-    run = tensor(model.channel, identity(x))
-    return compose(
-        intro, compose(dup, compose(run, swap(model.output_space, x)))
-    )
+    return Kernel(model.params, observation_space(model), joint)
 
 
 def _observation_label(model: Model, x: str, y: str) -> str:
@@ -241,21 +232,14 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     return state(model.params, (w / total for w in weights))
 
 
-def batch_update(model: Model, data: TrainingSet, zn_cap: int = 8) -> State:
+def batch_update(model: Model, data: TrainingSet) -> State:
     """Condition on all observations at once.
 
-    Uses the literal replicated-space construction while the observation
-    tuple space stays materializable (at most ``zn_cap`` observations and
-    ``|M|^n * |Z|^n`` entries within :data:`LITERAL_CELL_BUDGET`), and the
-    factorized route beyond.  Both routes agree exactly.
+    Runs the per-parameter likelihood product of
+    :func:`batch_update_factorized`.  The literal replicated-channel
+    construction, :func:`batch_update_literal`, is kept only as the oracle
+    the ``zn`` law suite compares this route against; the two agree exactly.
     """
-    n = len(data)
-    if n == 0:
-        return model.prior
-    nm = len(model.params)
-    nz = len(model.input_space) * len(model.output_space)
-    if n <= zn_cap and (nm**n) * (nz**n) <= LITERAL_CELL_BUDGET:
-        return batch_update_literal(model, data)
     return batch_update_factorized(model, data)
 
 

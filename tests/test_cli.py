@@ -227,6 +227,17 @@ def test_gauss_predict(capsys, tmp_path):
     assert doc["variance"] == pytest.approx(0.25 * 9.0 + 0.25)
 
 
+def test_gauss_predict_takes_a_negative_first_coordinate(capsys, tmp_path):
+    post = write_json(
+        tmp_path,
+        "gpost.json",
+        {"posterior": {"mean": [2.0, 3.0], "cov": [[0.25, 0.0], [0.0, 0.25]]}},
+    )
+    doc = run_json(capsys, "gauss", "predict", post, "-1.5,2", "--sigma", "1")
+    assert doc["mean"] == pytest.approx(3.0)
+    assert doc["variance"] == pytest.approx(0.25 * (2.25 + 4.0) + 1.0)
+
+
 def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     path = tmp_path / "thin.csv"
     path.write_text("x1,x2,y\n1.0,2.0,3.0\n")
@@ -252,7 +263,7 @@ def test_check_seed_comes_from_the_environment(capsys, monkeypatch):
 def test_check_law_violation_exits_three(capsys, monkeypatch):
     # fake a failing report to pin the reporting path; the suites themselves
     # are exercised for real elsewhere
-    def broken(suite, cases, seed, zn_cap=8):
+    def broken(suite, cases, seed):
         return SuiteReport(
             suite=suite,
             cases=cases,

@@ -205,9 +205,9 @@ def test_both_batch_routes_take_the_worked_value(two_point_model):
 
 def test_batch_dispatch_is_route_independent(two_point_model):
     data = pairs(("x0", "y0"), ("x0", "y1"), ("x0", "y0"))
-    via_literal = batch_update(two_point_model, data, zn_cap=8)
-    via_factorized = batch_update(two_point_model, data, zn_cap=0)
-    assert via_literal == via_factorized
+    assert batch_update(two_point_model, data) == batch_update_literal(
+        two_point_model, data
+    )
 
 
 @given(seeds)

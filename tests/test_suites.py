@@ -1,9 +1,12 @@
 """The seeded law suites themselves: registry, determinism, reporting."""
 
+import random
 from dataclasses import asdict
 
 import pytest
 
+from markov_bayes import suites
+from markov_bayes.serialize import kernel_to_json
 from markov_bayes.suites import SUITES, case_seed, run_suite
 
 
@@ -44,3 +47,32 @@ def test_case_seed_is_an_injective_stride():
 def test_unknown_suite_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense", 5, 1)
+
+
+def test_any_error_in_a_case_is_recorded_with_its_seed():
+    def body(rng):
+        raise ZeroDivisionError("division by zero")
+
+    report = suites._run("probe", 3, 5, body, lambda rng: {"draw": rng.random()})
+    assert [f.case_seed for f in report.failures] == [case_seed(5, i) for i in range(3)]
+    first = report.failures[0]
+    assert first.message == "unexpected error: ZeroDivisionError('division by zero')"
+    assert first.instance == {"draw": random.Random(case_seed(5, 0)).random()}
+
+
+def test_markov_failures_describe_the_checked_kernel(monkeypatch):
+    drawn = []
+    original = suites.rand_kernel
+
+    def recording(*args, **kwargs):
+        drawn.append(original(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites, "rand_kernel", recording)
+    for index in range(200):
+        cs = case_seed(7, index)
+        drawn.clear()
+        suites._markov_case(random.Random(cs))
+        checked_f = drawn[0]
+        described = suites._markov_describe(random.Random(cs))
+        assert described["f"] == kernel_to_json(checked_f), f"case seed {cs}"
