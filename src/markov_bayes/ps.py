@@ -84,11 +84,6 @@ class PSMorphism:
         object.__setattr__(self, "rep", canonicalize(self.rep, self.src.state))
 
 
-def ps_morphism(src: PSObject, dst: PSObject, f: Kernel) -> PSMorphism:
-    """Wrap a kernel as a morphism ``src -> dst``, checking preservation."""
-    return PSMorphism(src, dst, f)
-
-
 def ps_induced(src: PSObject, f: Kernel) -> PSMorphism:
     """The morphism out of ``src`` along ``f``, with the pushforward target."""
     dst = PSObject(f.target, compose(src.state, f))

@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .conditioning import invert
-from .finstoch import FinSpace, Kernel, State, compose, delta, product, state
+from .finstoch import FinSpace, Kernel, State, product, state
 from .learning import Model, TrainingSet, joint_channel
 from .paralens import ParaMorphism
 from .ps import PSMorphism, PSObject, ps_induced, ps_tensor
@@ -114,15 +113,17 @@ def rand_observations(
     Each pick is made from the labels the current predictive distribution
     supports, then the running parameter state is conditioned on it; that
     also guarantees the batch joint probability of the tuple is positive.
+    Only the support of the running state matters for either, so it is kept
+    as the list of live parameter indices.
     """
-    fj = joint_channel(model)
-    z_space = fj.target
+    rows = joint_channel(model).rows
     ny = len(model.output_space)
-    current = model.prior
+    live = [i for i, p in enumerate(model.prior.probs) if p]
     pairs = []
     for _ in range(count):
-        push = compose(current, fj).probs
-        choices = [j for j, p in enumerate(push) if p]
+        choices = [
+            j for j in range(len(rows[0])) if any(rows[i][j] for i in live)
+        ]
         j = rng.choice(choices)
         pairs.append(
             (
@@ -130,7 +131,5 @@ def rand_observations(
                 model.output_space.elements[j % ny],
             )
         )
-        current = compose(
-            delta(z_space, z_space.elements[j]), invert(fj, current)
-        )
+        live = [i for i in live if rows[i][j]]
     return TrainingSet(tuple(pairs))

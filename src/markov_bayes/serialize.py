@@ -23,7 +23,7 @@ from .finstoch import (
 )
 from .gauss import GaussPosterior, RegressionData
 from .learning import Model, PosteriorTrace, TrainingSet
-from .paralens import LensMorphism, ParaLensMorphism, ParaMorphism
+from .paralens import LensMorphism, ParaMorphism
 from .ps import PSMorphism, PSObject
 
 
@@ -146,24 +146,6 @@ def para_from_json(doc: dict) -> ParaMorphism:
         ps_object_from_json(_expect(doc, "src", "parametrized morphism")),
         ps_object_from_json(_expect(doc, "dst", "parametrized morphism")),
         ps_morphism_from_json(_expect(doc, "body", "parametrized morphism")),
-    )
-
-
-def para_lens_to_json(f: ParaLensMorphism) -> dict:
-    return {
-        "param": ps_object_to_json(f.param),
-        "src": ps_object_to_json(f.src),
-        "dst": ps_object_to_json(f.dst),
-        "lens": lens_to_json(f.lens),
-    }
-
-
-def para_lens_from_json(doc: dict) -> ParaLensMorphism:
-    return ParaLensMorphism(
-        ps_object_from_json(_expect(doc, "param", "learner")),
-        ps_object_from_json(_expect(doc, "src", "learner")),
-        ps_object_from_json(_expect(doc, "dst", "learner")),
-        lens_from_json(_expect(doc, "lens", "learner")),
     )
 
 

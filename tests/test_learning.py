@@ -21,8 +21,10 @@ from markov_bayes import (
     batch_update,
     batch_update_factorized,
     batch_update_literal,
+    compose,
     delta,
     full_predictive,
+    invert,
     joint_channel,
     observation_space,
     output_marginal,
@@ -230,6 +232,37 @@ def test_batch_is_order_invariant(seed):
     assert batch_update(model, TrainingSet(tuple(data))) == batch_update(
         model, TrainingSet(tuple(shuffled))
     )
+
+
+def _observations_by_inversion(rng, model, count):
+    # the reference route: condition the running state by inverting the
+    # whole joint channel after every draw
+    fj = joint_channel(model)
+    z_space = fj.target
+    ny = len(model.output_space)
+    current = model.prior
+    pairs = []
+    for _ in range(count):
+        push = compose(current, fj).probs
+        j = rng.choice([j for j, p in enumerate(push) if p])
+        pairs.append(
+            (model.input_space.elements[j // ny], model.output_space.elements[j % ny])
+        )
+        current = compose(delta(z_space, z_space.elements[j]), invert(fj, current))
+    return TrainingSet(tuple(pairs))
+
+
+def test_rand_observations_matches_the_inversion_loop():
+    for seed in range(300):
+        rng = random.Random(seed)
+        model = rand_model(rng, 4, 3, 3)
+        count = rng.randint(0, 8)
+        fast, slow = random.Random(), random.Random()
+        fast.setstate(rng.getstate())
+        slow.setstate(rng.getstate())
+        got = rand_observations(fast, model, count)
+        assert got == _observations_by_inversion(slow, model, count), seed
+        assert fast.getstate() == slow.getstate(), seed
 
 
 # ---------- posterior channel and prediction ----------

@@ -25,7 +25,6 @@ from markov_bayes import (
     ps_induced,
     ps_left_unitor,
     ps_left_unitor_inv,
-    ps_morphism,
     ps_right_unitor,
     ps_right_unitor_inv,
     ps_tensor,
@@ -81,7 +80,7 @@ def test_morphism_requires_state_preservation(xy):
     dst = PSObject(y, uniform_state(y))
     f = Kernel(x, y, ((1, 0), (1, 0)))
     with pytest.raises(NotStatePreserving) as exc:
-        ps_morphism(src, dst, f)
+        PSMorphism(src, dst, f)
     assert exc.value.pushforward.probs == (1, 0)
 
 

@@ -1,12 +1,22 @@
 """The seeded law suites themselves: registry, determinism, reporting."""
 
+import inspect
+import json
 import random
 from dataclasses import asdict
 
 import pytest
 
-from markov_bayes import suites
-from markov_bayes.serialize import kernel_to_json
+from markov_bayes import (
+    FinSpace,
+    Kernel,
+    Model,
+    ParaMorphism,
+    PSMorphism,
+    TrainingSet,
+    serialize,
+    suites,
+)
 from markov_bayes.suites import SUITES, case_seed, run_suite
 
 
@@ -50,29 +60,59 @@ def test_unknown_suite_name():
 
 
 def test_any_error_in_a_case_is_recorded_with_its_seed():
-    def body(rng):
+    def draw(rng):
+        return {"n": rng.randrange(100)}
+
+    def check(n):
         raise ZeroDivisionError("division by zero")
 
-    report = suites._run("probe", 3, 5, body, lambda rng: {"draw": rng.random()})
+    report = suites._run("probe", 3, 5, draw, check)
     assert [f.case_seed for f in report.failures] == [case_seed(5, i) for i in range(3)]
     first = report.failures[0]
     assert first.message == "unexpected error: ZeroDivisionError('division by zero')"
-    assert first.instance == {"draw": random.Random(case_seed(5, 0)).random()}
+    assert first.instance == {"n": random.Random(case_seed(5, 0)).randrange(100)}
 
 
-def test_markov_failures_describe_the_checked_kernel(monkeypatch):
-    drawn = []
-    original = suites.rand_kernel
+def test_an_error_while_drawing_is_recorded_without_an_instance(monkeypatch):
+    def broken(rng, model, count):
+        raise IndexError("no label to draw")
 
-    def recording(*args, **kwargs):
-        drawn.append(original(*args, **kwargs))
-        return drawn[-1]
+    monkeypatch.setattr(suites, "rand_observations", broken)
+    report = run_suite("coincidence", 3, 7)
+    assert [f.case_seed for f in report.failures] == [case_seed(7, i) for i in range(3)]
+    assert all(f.instance is None for f in report.failures)
+    assert report.failures[0].message == (
+        "unexpected error: IndexError('no label to draw')"
+    )
 
-    monkeypatch.setattr(suites, "rand_kernel", recording)
-    for index in range(200):
-        cs = case_seed(7, index)
-        drawn.clear()
-        suites._markov_case(random.Random(cs))
-        checked_f = drawn[0]
-        described = suites._markov_describe(random.Random(cs))
-        assert described["f"] == kernel_to_json(checked_f), f"case seed {cs}"
+
+_FROM_JSON = {
+    int: lambda n: n,
+    FinSpace: serialize.space_from_json,
+    Kernel: serialize.kernel_from_json,
+    PSMorphism: serialize.ps_morphism_from_json,
+    ParaMorphism: serialize.para_from_json,
+    Model: serialize.model_from_json,
+    TrainingSet: lambda pairs: TrainingSet(tuple(pairs)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_failures_report_every_value_the_check_received(name):
+    draw, check = SUITES[name]
+    received = []
+
+    def failing(**instance):
+        received.append(instance)
+        check(**instance)
+        raise suites._CheckFailed("forced")
+
+    report = suites._run(name, 3, 7, draw, failing)
+    assert len(report.failures) == len(received) == 3
+    for failure, checked in zip(report.failures, received):
+        assert failure.message == "forced"
+        json.dumps(failure.instance)
+        assert set(failure.instance) == set(inspect.signature(check).parameters)
+        for key, value in checked.items():
+            back = _FROM_JSON[type(value)](failure.instance[key])
+            assert back == value, (name, key)
