@@ -82,6 +82,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def _emit(doc, out: str | None) -> None:
     text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     if out:
@@ -187,9 +199,9 @@ def _load_gauss_posterior(path: str) -> GaussPosterior:
 
 
 def _parse_point(text: str) -> list[float]:
-    toks = [t for t in text.split(",") if t.strip()]
-    if not toks:
-        raise ValueError("empty input point")
+    toks = text.split(",")
+    if not all(t.strip() for t in toks):
+        raise ValueError(f"input point {text!r} has an empty coordinate")
     return [float(t) for t in toks]
 
 
@@ -317,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="Run a seeded law suite and report violations.")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None, help="Defaults to MARKOV_BAYES_SEED, then 7.")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)

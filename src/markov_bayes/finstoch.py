@@ -15,7 +15,9 @@ never at the factors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SpaceMismatch, UnknownLabel
@@ -26,17 +28,35 @@ RAT1 = Fraction(1)
 PAIR_SEP = "⊗"  # the product separator used in labels and space names
 
 
+#: ``p/q`` or a bare integer, in digits as :class:`Fraction` reads them
+_RATIONAL = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse a rational written as ``"p/q"`` (or a bare integer string)."""
+    """Parse a rational written as ``"p/q"``, a bare integer or a decimal.
+
+    Digits are read through :class:`decimal.Decimal`, which the interpreter's
+    int-to-string digit limit does not cover, so integers of any length
+    parse and the limit itself is left alone.
+    """
+    body = text.strip()
+    match = _RATIONAL.fullmatch(body)
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        if match is None:
+            return Fraction(Decimal(body))
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+    except (ArithmeticError, ValueError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def format_rat(q: Fraction) -> str:
-    """Render a rational as ``"p/q"``, always with an explicit denominator."""
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as ``"p/q"``, always with an explicit denominator.
+
+    Like :func:`parse_rat`, this goes through :class:`decimal.Decimal`, so
+    numerators and denominators of any length print.
+    """
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def pair_label(a: str, b: str) -> str:

@@ -9,17 +9,20 @@ is what updating on data means here.
 Updates come in two flavours that provably agree: a sequential pass that
 inverts once per observation, conditioning each time on the previous
 posterior, and a batch pass that conditions on the whole observation tuple
-at once.  The batch pass runs as the per-parameter likelihood product that
-the replicated observation channel factors into; the literal
-replicated-channel construction stays here only as the oracle the law
-suites compare it against.
+at once.  Both read each observed pair as one column of the joint channel,
+indexed once up front.  The batch pass runs as the per-parameter likelihood
+product that the replicated observation channel factors into, one power
+per distinct column; the literal replicated-channel construction stays here
+only as the oracle the law suites compare it against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import prod
 
 from .conditioning import invert, is_uniquely_invertible_at
 from .errors import (
@@ -131,30 +134,32 @@ def joint_channel(model: Model) -> Kernel:
     return Kernel(model.params, observation_space(model), joint)
 
 
-def _observation_label(model: Model, x: str, y: str) -> str:
-    model.input_space.index(x)
-    model.output_space.index(y)
-    return pair_label(x, y)
+def _observation_indices(model: Model, data: TrainingSet) -> list[int]:
+    """The joint-channel column of every observed pair, all validated first."""
+    ny = len(model.output_space)
+    return [
+        model.input_space.index(x) * ny + model.output_space.index(y)
+        for x, y in data
+    ]
 
 
 def sequential_update(model: Model, data: TrainingSet) -> PosteriorTrace:
     """Condition on the observations one at a time, in order.
 
-    Each step inverts the joint observation channel against the current
-    parameter state and reads off the row of the observed pair.  Raises
-    :class:`ZeroLikelihoodObservation` at the first observation the current
-    predictive distribution gives zero mass, since no posterior is
-    determined there.
+    Each step inverts the joint observation channel once against the
+    current parameter state and reads off the row at the observed pair's
+    column.  Every label is checked before the first step.  Raises
+    :class:`ZeroLikelihoodObservation` at the first observation whose
+    column is zero on the support of the current state, since no posterior
+    is determined there.
     """
     fj = joint_channel(model)
-    z_space = fj.target
     states = [model.prior]
-    for i, (x, y) in enumerate(data):
-        label = _observation_label(model, x, y)
+    for step, j in enumerate(_observation_indices(model, data)):
         current = states[-1]
-        if not is_uniquely_invertible_at(fj, current, label):
-            raise ZeroLikelihoodObservation(i, label)
-        states.append(compose(delta(z_space, label), invert(fj, current)))
+        if not any(p and row[j] for p, row in zip(current.probs, fj.rows)):
+            raise ZeroLikelihoodObservation(step, fj.target.elements[j])
+        states.append(state(model.params, invert(fj, current).rows[j]))
     return PosteriorTrace(tuple(states))
 
 
@@ -181,11 +186,8 @@ def replicated_joint_channel(model: Model, n: int) -> Kernel:
 
 
 def _batch_label(model: Model, data: TrainingSet) -> str:
-    labels = [_observation_label(model, x, y) for x, y in data]
-    out = labels[0]
-    for lab in labels[1:]:
-        out = pair_label(out, lab)
-    return out
+    z = observation_space(model).elements
+    return reduce(pair_label, (z[j] for j in _observation_indices(model, data)))
 
 
 def batch_update_literal(model: Model, data: TrainingSet) -> State:
@@ -206,24 +208,16 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     """Batch posterior through the per-parameter likelihood product.
 
     The replicated channel gives each parameter an observation-tuple
-    probability that factors into per-observation probabilities, so the
-    posterior weight of ``m`` is the prior weight times that product.
+    probability that factors into per-observation probabilities.  The data
+    enter only through how often each joint-channel column occurs, so the
+    posterior weight of ``m`` is ``prior(m) * prod_j fj[m][j] ** count(j)``.
     """
-    if len(data) == 0:
-        return model.prior
     fj = joint_channel(model)
-    z_space = fj.target
-    indices = [
-        z_space.index(_observation_label(model, x, y)) for x, y in data
+    counts = Counter(_observation_indices(model, data))
+    weights = [
+        p * prod(row[j] ** c for j, c in counts.items())
+        for p, row in zip(model.prior.probs, fj.rows)
     ]
-    weights = []
-    for i, p in enumerate(model.prior.probs):
-        w = p
-        for j in indices:
-            if not w:
-                break
-            w *= fj.rows[i][j]
-        weights.append(w)
     total = sum(weights, RAT0)
     if not total:
         raise ZeroLikelihoodBatch(

@@ -257,7 +257,7 @@ def regression_data_from_csv(text: str) -> RegressionData:
         raise ValueError(
             f"regression CSV header must be 'x1,...,xn,y', got {header!r}"
         )
-    rows, targets = [], []
+    rows, targets, lines = [], [], []
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -271,4 +271,11 @@ def regression_data_from_csv(text: str) -> RegressionData:
             raise ValueError(f"regression CSV line {line}: non-numeric field") from None
         rows.append(values[:-1])
         targets.append(values[-1])
-    return RegressionData(np.asarray(rows, dtype=float), np.asarray(targets, dtype=float))
+        lines.append(line)
+    design = np.asarray(rows, dtype=float).reshape(-1, dim)
+    targets = np.asarray(targets, dtype=float)
+    finite = np.isfinite(design).all(axis=1) & np.isfinite(targets)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise ValueError(f"regression CSV line {line}: non-finite field")
+    return RegressionData(design, targets)

@@ -1,6 +1,7 @@
 """The command-line surface: frozen outputs, exit codes, error JSON."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from markov_bayes.serialize import kernel_to_json, model_to_json
 from markov_bayes.suites import SuiteFailure, SuiteReport
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 BUNDLE = str(DATA_DIR / "two_point_bundle.json")
 CSV = str(DATA_DIR / "two_point.csv")
 
@@ -147,6 +149,20 @@ def test_learn_zero_likelihood_exits_two(capsys, tmp_path):
         assert json.loads(err.splitlines()[-1])["error"] == "zero-likelihood"
 
 
+def test_learn_batch_prints_posteriors_past_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    csv = tmp_path / "long.csv"
+    csv.write_text("x,y\n" + "x0,y0\nx0,y1\n" * 3000)
+    out = tmp_path / "post.json"
+    code, _, err = run(capsys, "learn", BUNDLE, str(csv), "--out", str(out))
+    assert code == 0, err
+    posterior = json.loads(out.read_text())["posterior"]
+    assert max(len(p.partition("/")[2]) for p in posterior.values()) > limit
+    doc = run_json(capsys, "predict", BUNDLE, str(out), "x0")
+    assert set(doc["predictive"]) == {"y0", "y1"}
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_learn_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "learn", str(tmp_path / "nope.json"), CSV)
     assert code == 1
@@ -238,6 +254,31 @@ def test_gauss_predict_takes_a_negative_first_coordinate(capsys, tmp_path):
     assert doc["variance"] == pytest.approx(0.25 * (2.25 + 4.0) + 1.0)
 
 
+@pytest.mark.parametrize("point", ["1,,2", "1,2,", ","])
+def test_gauss_predict_rejects_empty_coordinates(capsys, tmp_path, point):
+    post = write_json(
+        tmp_path,
+        "gpost.json",
+        {"posterior": {"mean": [2.0, 3.0], "cov": [[0.25, 0.0], [0.0, 0.25]]}},
+    )
+    code, _, err = run(capsys, "gauss", "predict", post, point, "--sigma", "1")
+    assert code == 1
+    assert "empty coordinate" in json.loads(err)["message"]
+
+
+def test_gauss_seq_update_rejects_non_finite_rows(capsys, tmp_path):
+    prior = write_json(
+        tmp_path, "gprior.json", {"mean": [0.0], "cov": [[1.0]]}
+    )
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,y\n1.0,2.0\n0.5,nan\n")
+    code, _, err = run(
+        capsys, "gauss", "update", prior, str(path), "--sigma", "1", "--mode", "seq"
+    )
+    assert code == 1
+    assert "line 3" in json.loads(err)["message"]
+
+
 def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     path = tmp_path / "thin.csv"
     path.write_text("x1,x2,y\n1.0,2.0,3.0\n")
@@ -281,6 +322,14 @@ def test_check_law_violation_exits_three(capsys, monkeypatch):
     assert detail["failures"][0]["case_seed"] == 7000025
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_needs_at_least_one_case(capsys, cases):
+    code, out, err = run(capsys, "check", "--suite", "markov", "--cases", cases)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["type"] == "usage"
+
+
 def test_check_unknown_suite_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check", "--suite", "nonsense")
     assert code == 1
@@ -301,10 +350,14 @@ def test_out_flag_writes_a_file_instead_of_stdout(capsys, tmp_path, kernel_files
 
 
 def test_module_entry_point_propagates_exit_codes(tmp_path):
+    # the child process imports the package from this checkout's source
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-m", "markov_bayes", "learn", str(tmp_path / "no.json"), CSV],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "validation"
@@ -312,6 +365,7 @@ def test_module_entry_point_propagates_exit_codes(tmp_path):
         [sys.executable, "-m", "markov_bayes", "learn", BUNDLE, CSV],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["posterior"] == {"m0": "32/59", "m1": "27/59"}

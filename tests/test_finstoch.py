@@ -1,6 +1,7 @@
 """Spaces, kernels, and the symmetric monoidal structure."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,9 +94,16 @@ def test_parse_and_format_rat():
     assert parse_rat(" 2 ") == Fraction(2)
     assert format_rat(Fraction(1, 2)) == "1/2"
     assert format_rat(Fraction(3)) == "3/1"
-    for bad in ("x", "1/0", ""):
+    for bad in ("x", "1/0", "", "1.5/2", "1/-2", "nan", "inf"):
         with pytest.raises(ValueError):
             parse_rat(bad)
+    # past the interpreter's int-to-string digit limit, which stays put
+    limit = sys.get_int_max_str_digits()
+    q = Fraction(-(7**20000), 3**15000 + 2)
+    text = format_rat(q)
+    assert len(text) > 2 * limit
+    assert parse_rat(text) == q
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------- kernel construction ----------

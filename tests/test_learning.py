@@ -38,7 +38,7 @@ from markov_bayes import (
     state,
     uniform_state,
 )
-from markov_bayes.sampling import rand_model, rand_observations
+from markov_bayes.sampling import rand_kernel, rand_model, rand_observations, rand_state
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -155,16 +155,30 @@ def test_sequential_rejects_unknown_labels(two_point_model):
         sequential_update(two_point_model, pairs(("x0", "y9")))
 
 
-def test_sequential_zero_likelihood_reports_the_step():
+def _dead_model():
+    # every parameter puts all its mass on y0, so observing y1 is impossible
     m = FinSpace("M", ("m0", "m1"))
     x = FinSpace("X", ("x0",))
     y = FinSpace("Y", ("y0", "y1"))
     channel = Kernel(product(m, x), y, ((1, 0), (1, 0)))
-    model = Model(m, uniform_state(m), x, delta(x, "x0"), y, channel)
+    return Model(m, uniform_state(m), x, delta(x, "x0"), y, channel)
+
+
+def test_sequential_zero_likelihood_reports_the_step():
     with pytest.raises(ZeroLikelihoodObservation) as exc:
-        sequential_update(model, pairs(("x0", "y0"), ("x0", "y1")))
+        sequential_update(_dead_model(), pairs(("x0", "y0"), ("x0", "y1")))
     assert exc.value.step == 1
     assert exc.value.label == pair_label("x0", "y1")
+
+
+def test_sequential_checks_every_label_before_the_first_step():
+    # the first observation has zero mass, but the unknown label after it
+    # is reported first, as on the batch route
+    data = pairs(("x0", "y1"), ("x0", "y9"))
+    with pytest.raises(UnknownLabel):
+        sequential_update(_dead_model(), data)
+    with pytest.raises(UnknownLabel):
+        batch_update(_dead_model(), data)
 
 
 # ---------- batch updates ----------
@@ -187,11 +201,7 @@ def test_batch_single_observation_equals_one_sequential_step(two_point_model):
 
 
 def test_batch_zero_likelihood():
-    m = FinSpace("M", ("m0", "m1"))
-    x = FinSpace("X", ("x0",))
-    y = FinSpace("Y", ("y0", "y1"))
-    channel = Kernel(product(m, x), y, ((1, 0), (1, 0)))
-    model = Model(m, uniform_state(m), x, delta(x, "x0"), y, channel)
+    model = _dead_model()
     with pytest.raises(ZeroLikelihoodBatch):
         batch_update(model, pairs(("x0", "y0"), ("x0", "y1")))
     with pytest.raises(ZeroLikelihoodBatch):
@@ -218,6 +228,23 @@ def test_sequential_and_batch_coincide(seed):
     rng = random.Random(seed)
     model = rand_model(rng, 4, 4, 4)
     data = rand_observations(rng, model, rng.randint(0, 5))
+    assert sequential_update(model, data).final == batch_update(model, data)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sequential_and_batch_coincide_on_heavy_repeats(seed):
+    # one input and two outputs: forty observations fall on two columns of
+    # the joint channel, one of them up to thirty times
+    rng = random.Random(seed)
+    m = FinSpace("M", ("m0", "m1", "m2"))
+    x = FinSpace("X", ("x0",))
+    y = FinSpace("Y", ("y0", "y1"))
+    channel = rand_kernel(rng, product(m, x), y, full_support=True)
+    model = Model(m, rand_state(rng, m, full_support=True), x, delta(x, "x0"), y, channel)
+    heavy = rng.randint(20, 30)
+    observed = [("x0", "y0")] * heavy + [("x0", "y1")] * (40 - heavy)
+    rng.shuffle(observed)
+    data = TrainingSet(tuple(observed))
     assert sequential_update(model, data).final == batch_update(model, data)
 
 

@@ -254,3 +254,8 @@ def test_regression_csv_errors():
         regression_data_from_csv("x1,y\noops,3\n")
     with pytest.raises(ValueError, match="empty"):
         regression_data_from_csv("")
+    for field in ("nan", "inf", "-Infinity"):
+        with pytest.raises(ValueError, match="line 4: non-finite"):
+            regression_data_from_csv(f"x1,x2,y\n1,2,3\n\n4,{field},6\n7,8,9\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            regression_data_from_csv(f"x1,y\n1,2\n3,{field}\n")
