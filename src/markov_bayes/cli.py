@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -202,7 +203,10 @@ def _parse_point(text: str) -> list[float]:
     toks = text.split(",")
     if not all(t.strip() for t in toks):
         raise ValueError(f"input point {text!r} has an empty coordinate")
-    return [float(t) for t in toks]
+    point = [float(t) for t in toks]
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"input point {text!r} has a non-finite coordinate")
+    return point
 
 
 def cmd_gauss(args) -> int:

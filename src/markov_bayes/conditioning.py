@@ -7,23 +7,29 @@ splits into a marginal and a conditional channel.  Bayesian inversion turns
 conditioning event has probability zero, the row is filled with the uniform
 distribution; that fixed choice makes inverses canonical and lets equality
 of conditionals be tested with ``==``.
+
+Every kernel built here from validated inputs goes through the unchecked
+``finstoch._trusted``: the results are stochastic by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import NotAProductSpace, SpaceMismatch
 from .finstoch import (
     RAT0,
+    UNIT,
     Kernel,
     FinSpace,
     State,
+    _trusted,
     compose,
     copy,
     identity,
     product,
-    state,
     tensor,
     uniform_row,
 )
@@ -75,7 +81,7 @@ def canonicalize(f: Kernel, pi: State) -> Kernel:
     )
     if rows == f.rows:
         return f
-    return Kernel(f.source, f.target, rows)
+    return _trusted(f.source, f.target, rows)
 
 
 def jointify(pi: State, f: Kernel) -> State:
@@ -119,7 +125,8 @@ def disintegrate(omega: State) -> Disintegration:
         else:
             rows.append(uniform_row(ny))
     return Disintegration(
-        marginal=state(x, marg), channel=Kernel(x, y, tuple(rows))
+        marginal=_trusted(UNIT, x, (tuple(marg),)),
+        channel=_trusted(x, y, tuple(rows)),
     )
 
 
@@ -129,24 +136,32 @@ def invert(f: Kernel, pi: State) -> Kernel:
     The row of the result at ``y`` is the conditional of ``x`` given ``y``
     under the joint state of ``pi`` and ``f``; rows at outputs the
     pushforward never produces are uniform.
+
+    Each joint weight ``pi(x) * f(x)(y)`` is formed once, as an integer:
+    scaled by the common denominator of ``pi`` and that of column ``y`` of
+    ``f``.  The column's sum is then its pushforward mass under the same
+    scale, which cancels when each weight is divided by it.
     """
     _require_state(pi)
     if pi.target != f.source:
         raise SpaceMismatch(
             f"state on {pi.target.name!r} does not match source of {f!r}"
         )
-    push = compose(pi, f).probs
-    priors = pi.probs
     nx = len(f.source)
+    d = lcm(*(p.denominator for p in pi.probs))
+    prior = [p.numerator * (d // p.denominator) for p in pi.probs]
     rows = []
-    for j, mass in enumerate(push):
+    for column in zip(*f.rows):
+        c = lcm(*(e.denominator for e in column))
+        joint = [
+            a * e.numerator * (c // e.denominator) for a, e in zip(prior, column)
+        ]
+        mass = sum(joint)
         if mass:
-            rows.append(
-                tuple(f.rows[i][j] * priors[i] / mass for i in range(nx))
-            )
+            rows.append(tuple(Fraction(w, mass) for w in joint))
         else:
             rows.append(uniform_row(nx))
-    return Kernel(f.target, f.source, tuple(rows))
+    return _trusted(f.target, f.source, tuple(rows))
 
 
 def as_equal(f: Kernel, g: Kernel, pi: State) -> bool:
@@ -190,11 +205,11 @@ def condition(s: Kernel) -> Kernel:
     x, y = s.target.factors
     a = s.source
     channels = [
-        disintegrate(state(s.target, row)).channel for row in s.rows
+        disintegrate(_trusted(UNIT, s.target, (row,))).channel for row in s.rows
     ]
     src = product(x, a)
     na = len(a)
     rows = tuple(
         channels[i % na].rows[i // na] for i in range(len(src))
     )
-    return Kernel(src, y, rows)
+    return _trusted(src, y, rows)

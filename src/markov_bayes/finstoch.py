@@ -8,6 +8,14 @@ so composition, products and the copy/discard/swap structure satisfy their
 algebraic identities on the nose and tests can use ``==`` rather than
 tolerances.
 
+Checking happens once, at the public constructors: :class:`Kernel` and
+:func:`state` validate types, shapes and exact row sums.  Operations on
+validated kernels (composition, products, the structural channels, and the
+inversion and conditioning of :mod:`markov_bayes.conditioning`) build their
+results through the private, unchecked :func:`_trusted`, because stochastic
+kernels are closed under them by theorem; ``tests/test_closure.py`` checks
+that every such result equals the checked construction of the same rows.
+
 Product spaces keep a record of their two factors.  That record is a
 construction artifact: space equality looks only at the name and the labels,
 never at the factors.
@@ -77,21 +85,26 @@ class FinSpace:
     factors: tuple["FinSpace", "FinSpace"] | None = field(
         default=None, compare=False, repr=False
     )
+    #: label -> position, built with the duplicate check
+    _positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        if not elements:
             raise ValueError(f"space {self.name!r} has no elements")
-        if len(set(self.elements)) != len(self.elements):
+        positions = {label: i for i, label in enumerate(elements)}
+        if len(positions) != len(elements):
             raise ValueError(f"space {self.name!r} has repeated labels")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"label {label!r} is not in space {self.name!r}") from None
 
 
@@ -122,7 +135,9 @@ class Kernel:
 
     Row ``i`` is the distribution of the target outcome given source element
     ``i``.  Construction validates the shape and that every row sums to one
-    exactly.  Kernels are immutable and compare entrywise.
+    exactly.  Kernels are immutable and compare entrywise.  Operations on
+    kernels build their results with :func:`_trusted`, which skips these
+    checks because the result is stochastic by theorem.
     """
 
     source: FinSpace
@@ -190,6 +205,18 @@ class Kernel:
 State = Kernel
 
 
+def _trusted(source: FinSpace, target: FinSpace, rows) -> Kernel:
+    """A kernel built without the checks of :class:`Kernel`.
+
+    Only for results of operations on validated kernels: ``rows`` must
+    already be a tuple of tuples of :class:`Fraction` of the right shape,
+    each row summing to one.
+    """
+    k = object.__new__(Kernel)
+    k.__dict__.update(source=source, target=target, rows=rows)
+    return k
+
+
 def state(space: FinSpace, values) -> State:
     """A probability state on ``space`` from a sequence of rationals."""
     return Kernel(UNIT, space, (tuple(values),))
@@ -199,12 +226,11 @@ def delta(space: FinSpace, label: str) -> State:
     """The point-mass state at ``label``."""
     i = space.index(label)
     row = tuple(RAT1 if j == i else RAT0 for j in range(len(space)))
-    return Kernel(UNIT, space, (row,))
+    return _trusted(UNIT, space, (row,))
 
 
 def uniform_state(space: FinSpace) -> State:
-    n = len(space)
-    return Kernel(UNIT, space, ((Fraction(1, n),) * n,))
+    return _trusted(UNIT, space, (uniform_row(len(space)),))
 
 
 def uniform_row(n: int) -> tuple[Fraction, ...]:
@@ -216,7 +242,7 @@ def identity(space: FinSpace) -> Kernel:
     rows = tuple(
         tuple(RAT1 if j == i else RAT0 for j in range(n)) for i in range(n)
     )
-    return Kernel(space, space, rows)
+    return _trusted(space, space, rows)
 
 
 def _permutation(source: FinSpace, target: FinSpace, image) -> Kernel:
@@ -227,7 +253,7 @@ def _permutation(source: FinSpace, target: FinSpace, image) -> Kernel:
         row = [RAT0] * m
         row[image(i)] = RAT1
         rows.append(tuple(row))
-    return Kernel(source, target, tuple(rows))
+    return _trusted(source, target, tuple(rows))
 
 
 def copy(space: FinSpace) -> Kernel:
@@ -238,7 +264,7 @@ def copy(space: FinSpace) -> Kernel:
 
 def discard(space: FinSpace) -> Kernel:
     """The unique kernel ``X -> UNIT`` that forgets the outcome."""
-    return Kernel(space, UNIT, tuple((RAT1,) for _ in range(len(space))))
+    return _trusted(space, UNIT, ((RAT1,),) * len(space))
 
 
 def swap(x: FinSpace, y: FinSpace) -> Kernel:
@@ -269,7 +295,7 @@ def compose(f: Kernel, g: Kernel) -> Kernel:
                     if q:
                         acc[z] += p * q
         rows.append(tuple(acc))
-    return Kernel(f.source, g.target, tuple(rows))
+    return _trusted(f.source, g.target, tuple(rows))
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
@@ -286,7 +312,7 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
                 else:
                     row.extend(RAT0 for _ in grow)
             rows.append(tuple(row))
-    return Kernel(src, tgt, tuple(rows))
+    return _trusted(src, tgt, tuple(rows))
 
 
 def state_tensor(a: State, b: State) -> State:

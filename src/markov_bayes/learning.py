@@ -33,9 +33,11 @@ from .errors import (
 )
 from .finstoch import (
     RAT0,
+    UNIT,
     FinSpace,
     Kernel,
     State,
+    _trusted,
     compose,
     copy,
     delta,
@@ -131,7 +133,7 @@ def joint_channel(model: Model) -> Kernel:
         tuple(p * e for xi, p in enumerate(px) for e in rows[i * nx + xi])
         for i in range(len(model.params))
     )
-    return Kernel(model.params, observation_space(model), joint)
+    return _trusted(model.params, observation_space(model), joint)
 
 
 def _observation_indices(model: Model, data: TrainingSet) -> list[int]:
@@ -159,7 +161,7 @@ def sequential_update(model: Model, data: TrainingSet) -> PosteriorTrace:
         current = states[-1]
         if not any(p and row[j] for p, row in zip(current.probs, fj.rows)):
             raise ZeroLikelihoodObservation(step, fj.target.elements[j])
-        states.append(state(model.params, invert(fj, current).rows[j]))
+        states.append(_trusted(UNIT, model.params, (invert(fj, current).rows[j],)))
     return PosteriorTrace(tuple(states))
 
 

@@ -7,6 +7,12 @@ state is replaced by the uniform distribution.  With that normal form,
 morphism equality is plain ``==``, composition is well defined, and
 Bayesian inversion becomes an involutive dagger that reverses composition
 and respects the product structure.
+
+The public :class:`PSMorphism` checks that its kernel runs between the
+right spaces and preserves the states.  Composition, products and the
+dagger of morphisms preserve states by theorem, so they build their results
+through the unchecked :func:`_ps_trusted`; ``tests/test_closure.py`` checks
+that every such result preserves its states and is in normal form.
 """
 
 from __future__ import annotations
@@ -84,6 +90,17 @@ class PSMorphism:
         object.__setattr__(self, "rep", canonicalize(self.rep, self.src.state))
 
 
+def _ps_trusted(src: PSObject, dst: PSObject, rep: Kernel) -> PSMorphism:
+    """A morphism built without the checks of :class:`PSMorphism`.
+
+    Only for ``rep`` known to run from ``src`` to ``dst``, to preserve their
+    states, and to be uniform off the support of ``src.state``.
+    """
+    f = object.__new__(PSMorphism)
+    f.__dict__.update(src=src, dst=dst, rep=rep)
+    return f
+
+
 def ps_induced(src: PSObject, f: Kernel) -> PSMorphism:
     """The morphism out of ``src`` along ``f``, with the pushforward target."""
     dst = PSObject(f.target, compose(src.state, f))
@@ -100,7 +117,9 @@ def ps_compose(f: PSMorphism, g: PSMorphism) -> PSMorphism:
             f"cannot compose: intermediate objects differ "
             f"({f.dst.space.name!r} vs {g.src.space.name!r})"
         )
-    return PSMorphism(f.src, g.dst, compose(f.rep, g.rep))
+    # a dead row of f.rep is uniform, but its composite with g.rep need not be
+    rep = canonicalize(compose(f.rep, g.rep), f.src.state)
+    return _ps_trusted(f.src, g.dst, rep)
 
 
 def ps_tensor(a, b):
@@ -112,11 +131,9 @@ def ps_tensor(a, b):
     if isinstance(a, PSObject) and isinstance(b, PSObject):
         return PSObject(product(a.space, b.space), state_tensor(a.state, b.state))
     if isinstance(a, PSMorphism) and isinstance(b, PSMorphism):
-        return PSMorphism(
-            ps_tensor(a.src, b.src),
-            ps_tensor(a.dst, b.dst),
-            tensor(a.rep, b.rep),
-        )
+        src = ps_tensor(a.src, b.src)
+        rep = canonicalize(tensor(a.rep, b.rep), src.state)
+        return _ps_trusted(src, ps_tensor(a.dst, b.dst), rep)
     raise TypeError("ps_tensor expects two objects or two morphisms")
 
 
@@ -124,9 +141,11 @@ def dagger(f: PSMorphism) -> PSMorphism:
     """The Bayesian inverse of ``f`` against its source state.
 
     Runs ``dst -> src``; applying it twice gives back ``f``, and it sends
-    composites to reversed composites and products to products.
+    composites to reversed composites and products to products.  The
+    inverse is already in normal form: its uniform rows sit exactly where
+    ``f.dst.state``, the pushforward of ``f.src.state``, is zero.
     """
-    return PSMorphism(f.dst, f.src, invert(f.rep, f.src.state))
+    return _ps_trusted(f.dst, f.src, invert(f.rep, f.src.state))
 
 
 # State-preserving versions of the structural isomorphisms.  Each one is a

@@ -254,16 +254,22 @@ def test_gauss_predict_takes_a_negative_first_coordinate(capsys, tmp_path):
     assert doc["variance"] == pytest.approx(0.25 * (2.25 + 4.0) + 1.0)
 
 
-@pytest.mark.parametrize("point", ["1,,2", "1,2,", ","])
+@pytest.mark.parametrize(
+    "point", ["1,,2", "1,2,", ",", "nan,1,inf", "1,-inf", "Infinity,0", "1,NaN"]
+)
 def test_gauss_predict_rejects_empty_coordinates(capsys, tmp_path, point):
     post = write_json(
         tmp_path,
         "gpost.json",
         {"posterior": {"mean": [2.0, 3.0], "cov": [[0.25, 0.0], [0.0, 0.25]]}},
     )
-    code, _, err = run(capsys, "gauss", "predict", post, point, "--sigma", "1")
+    code, out, err = run(capsys, "gauss", "predict", post, point, "--sigma", "1")
     assert code == 1
-    assert "empty coordinate" in json.loads(err)["message"]
+    assert out == ""
+    reason = "empty" if "" in point.split(",") else "non-finite"
+    message = json.loads(err)["message"]
+    assert f"{reason} coordinate" in message
+    assert repr(point) in message
 
 
 def test_gauss_seq_update_rejects_non_finite_rows(capsys, tmp_path):

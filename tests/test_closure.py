@@ -1,0 +1,153 @@
+"""Closure: operations on valid kernels build valid kernels.
+
+Compositions, products, structural channels, inversion and conditioning
+build their results without the checks of the public constructors,
+because stochastic kernels are closed under them by theorem.  These tests
+hold every such result to the public checks on seeded random inputs, with
+zero entries common so that dead rows and zero-mass outputs occur.
+"""
+
+import random
+from fractions import Fraction
+
+from markov_bayes import (
+    FinSpace,
+    Kernel,
+    PSMorphism,
+    associator,
+    associator_inv,
+    canonicalize,
+    compose,
+    condition,
+    copy,
+    dagger,
+    delta,
+    discard,
+    disintegrate,
+    identity,
+    interchanger,
+    invert,
+    joint_channel,
+    left_unitor,
+    left_unitor_inv,
+    product,
+    ps_compose,
+    ps_tensor,
+    relabel,
+    right_unitor,
+    right_unitor_inv,
+    sequential_update,
+    state_tensor,
+    swap,
+    tensor,
+    uniform_state,
+)
+from markov_bayes.sampling import (
+    rand_kernel,
+    rand_model,
+    rand_observations,
+    rand_ps_morphism,
+    rand_ps_object,
+    rand_space,
+    rand_state,
+)
+
+SEEDS = range(150)
+
+
+def assert_closed(k) -> None:
+    """``k`` is exactly what the checked constructor makes of its rows."""
+    assert type(k) is Kernel
+    assert type(k.rows) is tuple
+    for row in k.rows:
+        assert type(row) is tuple
+        assert all(type(e) is Fraction for e in row)
+    checked = Kernel(k.source, k.target, k.rows)
+    assert checked == k and hash(checked) == hash(k)
+    assert checked.rows is k.rows  # nothing was coerced
+
+
+def assert_preserving(m) -> None:
+    """``m`` pushes its source state to its target state, in normal form."""
+    assert_closed(m.rep)
+    assert compose(m.src.state, m.rep) == m.dst.state
+    assert canonicalize(m.rep, m.src.state) == m.rep
+    assert PSMorphism(m.src, m.dst, m.rep) == m  # the checked route agrees
+
+
+def test_structural_channels_are_closed():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        x, y, z, w = (rand_space(rng, name) for name in "XYZW")
+        for k in (
+            identity(x),
+            copy(x),
+            discard(x),
+            swap(x, y),
+            delta(x, rng.choice(x.elements)),
+            uniform_state(x),
+            left_unitor(x),
+            left_unitor_inv(x),
+            right_unitor(x),
+            right_unitor_inv(x),
+            associator(x, y, z),
+            associator_inv(x, y, z),
+            interchanger(x, y, z, w),
+            relabel(x, FinSpace("X'", tuple(rng.sample(x.elements, len(x))))),
+        ):
+            assert_closed(k)
+
+
+def test_compose_tensor_and_state_tensor_are_closed():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        x, y, z = (rand_space(rng, name) for name in "XYZ")
+        f, g = rand_kernel(rng, x, y), rand_kernel(rng, y, z)
+        a, b = rand_state(rng, x), rand_state(rng, y)
+        assert_closed(compose(f, g))
+        assert_closed(tensor(f, g))
+        assert_closed(state_tensor(a, b))
+
+
+def test_inversion_and_conditioning_are_closed():
+    dead_outputs = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        x, y, a = (rand_space(rng, name) for name in "XYA")
+        f, pi = rand_kernel(rng, x, y), rand_state(rng, x)
+        dead_outputs += compose(pi, f).probs.count(0)
+        assert_closed(invert(f, pi))
+        assert_closed(canonicalize(f, pi))
+        split = disintegrate(rand_state(rng, product(x, y)))
+        assert_closed(split.marginal)
+        assert_closed(split.channel)
+        assert_closed(condition(rand_kernel(rng, a, product(x, y))))
+    assert dead_outputs > 0  # the uniform fill was exercised
+
+
+def test_learning_results_are_closed():
+    steps = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = rand_model(rng)
+        assert_closed(joint_channel(model))
+        data = rand_observations(rng, model, rng.randint(1, 6))
+        for st in sequential_update(model, data).states:
+            assert_closed(st)
+            steps += 1
+    assert steps > len(SEEDS)
+
+
+def test_ps_operations_preserve_states_in_normal_form():
+    dead_outputs = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        a, c = rand_ps_object(rng, "A"), rand_ps_object(rng, "C")
+        f = rand_ps_morphism(rng, a, "B")
+        g = rand_ps_morphism(rng, f.dst, "D")
+        h = rand_ps_morphism(rng, c, "E")
+        dead_outputs += f.dst.state.probs.count(0)
+        for m in (ps_compose(f, g), ps_tensor(f, h), dagger(f), dagger(ps_tensor(f, h))):
+            assert_preserving(m)
+    assert dead_outputs > 0  # dagger met outputs the pushforward never produces
+

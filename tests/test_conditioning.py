@@ -147,6 +147,33 @@ def test_invert_uniform_rows_off_the_pushforward_support(xy):
     assert inv.dist("y1") == uniform_row(2)
 
 
+def _invert_through_the_pushforward(f, pi):
+    """The earlier route: push ``pi`` through ``f``, then divide each column."""
+    push = compose(pi, f).probs
+    nx = len(f.source)
+    rows = []
+    for j, mass in enumerate(push):
+        if mass:
+            rows.append(
+                tuple(f.rows[i][j] * pi.probs[i] / mass for i in range(nx))
+            )
+        else:
+            rows.append(uniform_row(nx))
+    return Kernel(f.target, f.source, tuple(rows))
+
+
+def test_invert_matches_the_pushforward_route():
+    zero_priors = dead_outputs = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        x, y = rand_space(rng, "X", 5), rand_space(rng, "Y", 5)
+        pi, f = rand_state(rng, x), rand_kernel(rng, x, y)
+        assert invert(f, pi) == _invert_through_the_pushforward(f, pi)
+        zero_priors += 0 in pi.probs
+        dead_outputs += 0 in compose(pi, f).probs
+    assert zero_priors > 0 and dead_outputs > 0
+
+
 @given(seeds)
 def test_double_inversion_comes_back_almost_surely(seed):
     rng = random.Random(seed)
