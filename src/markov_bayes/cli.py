@@ -36,7 +36,6 @@ from .gauss import (
 )
 from .learning import (
     batch_update,
-    output_marginal_mismatch,
     predictive,
     sequential_update,
 )
@@ -158,17 +157,6 @@ def cmd_learn(args) -> int:
     data = training_set_from_csv(Path(args.csv).read_text(encoding="utf-8"))
     if args.trace_tsv and args.mode != "seq":
         raise ValueError("--trace-tsv requires --mode seq")
-
-    mismatch = output_marginal_mismatch(model, data)
-    if mismatch is not None:
-        expected, empirical = mismatch
-        _stderr_json(
-            {
-                "warning": "output-marginal-mismatch",
-                "expected": state_to_map(expected),
-                "observed": state_to_map(empirical),
-            }
-        )
 
     if args.mode == "seq":
         trace = sequential_update(model, data)

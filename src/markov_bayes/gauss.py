@@ -5,20 +5,26 @@ Gaussian belief over regression weights to another Gaussian, whether the
 points arrive one at a time or all at once.  Starting from the flat
 (improper) prior, the posterior mean is exactly the least-squares solution.
 
-Everything here is floating point.  Solves go through QR and Cholesky
-factorizations, never through an explicitly formed matrix inverse.
+Everything here is floating point.  Every posterior is carried as a mean
+and a square-root factor ``S`` of its covariance, ``cov = S S^T``: the fit
+and the batch update take the triangular factor of a QR of the stacked,
+noise-scaled rows, and the sequential update moves ``S`` one row at a time
+by Potter's square-root update.  No route forms the normal matrix, and all
+of them refuse through the same condition guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, RankDeficient
 
-#: Condition-number ceiling for the normal matrix of an improper-prior fit.
+#: Ceiling on ``cond(S)**2``, the condition of the normal matrix, past which
+#: every route refuses with :class:`RankDeficient`.
 MAX_NORMAL_CONDITION = 1e12
 
 _SYM_TOL = 1e-12
@@ -46,46 +52,16 @@ def _check_noise(sigma: float) -> float:
 
 
 @dataclass(eq=False)
-class GaussChannel:
-    """An affine map with additive Gaussian noise: ``y = W x + b + noise``."""
-
-    weight: np.ndarray
-    offset: np.ndarray
-    noise_cov: np.ndarray
-
-    def __post_init__(self):
-        self.weight = _as_matrix(self.weight, "weight")
-        self.offset = _as_vector(self.offset, "offset")
-        self.noise_cov = _as_matrix(self.noise_cov, "noise_cov")
-        k = self.weight.shape[0]
-        if self.offset.shape != (k,) or self.noise_cov.shape != (k, k):
-            raise DimensionMismatch(
-                f"inconsistent output dimensions: weight {self.weight.shape}, "
-                f"offset {self.offset.shape}, noise {self.noise_cov.shape}"
-            )
-        if np.max(np.abs(self.noise_cov - self.noise_cov.T), initial=0.0) > _SYM_TOL:
-            raise ValueError("noise covariance is not symmetric")
-        if np.min(np.linalg.eigvalsh(self.noise_cov)) < -_SYM_TOL:
-            raise ValueError("noise covariance has a negative eigenvalue")
-
-    def push(self, post: "GaussPosterior") -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the output when the input is ``post``."""
-        if self.weight.shape[1] != post.mean.shape[0]:
-            raise DimensionMismatch(
-                f"channel expects dimension {self.weight.shape[1]}, "
-                f"posterior has {post.mean.shape[0]}"
-            )
-        mean = self.weight @ post.mean + self.offset
-        cov = self.weight @ post.cov @ self.weight.T + self.noise_cov
-        return mean, 0.5 * (cov + cov.T)
-
-
-@dataclass(eq=False)
 class GaussPosterior:
-    """A Gaussian belief over regression weights: mean vector and covariance."""
+    """A Gaussian belief over regression weights: mean vector and covariance.
+
+    ``root`` is the lower Cholesky factor of ``cov``, the square root the
+    updates start from.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mean = _as_vector(self.mean, "mean")
@@ -100,7 +76,7 @@ class GaussPosterior:
         ):
             raise ValueError("covariance is not symmetric")
         try:
-            np.linalg.cholesky(self.cov)
+            self.root = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError:
             raise RankDeficient("covariance is not positive definite") from None
 
@@ -127,31 +103,57 @@ class RegressionData:
         return self.design.shape[0]
 
 
+def _guard(factor: np.ndarray) -> None:
+    """The one refusal every route shares.
+
+    ``factor`` is the covariance square root ``S`` or its inverse, the
+    information factor ``R``; both have the condition of ``S``, whose square
+    is the condition of the normal matrix.
+    """
+    cond = np.linalg.cond(factor)
+    if not cond * cond < MAX_NORMAL_CONDITION:
+        raise RankDeficient(
+            f"normal matrix condition {cond * cond:.3e} exceeds "
+            f"{MAX_NORMAL_CONDITION:.0e}"
+        )
+
+
+def _from_rows(rows: np.ndarray) -> GaussPosterior:
+    """Posterior from whitened rows ``[A | b]``, observing ``A w = b`` with unit noise.
+
+    With ``R`` the triangular QR factor of ``A`` and ``z`` the matching part
+    of the rotated ``b``, the mean solves ``R w = z`` and ``S = R^-1``.
+    """
+    dim = rows.shape[1] - 1
+    r = np.linalg.qr(rows, mode="r")
+    r, z = r[:dim, :dim], r[:dim, dim]
+    _guard(r)
+    root = solve_triangular(r, np.eye(dim))
+    return GaussPosterior(mean=solve_triangular(r, z), cov=root @ root.T)
+
+
+def _check_dim(data: RegressionData, prior: GaussPosterior) -> None:
+    if data.design.shape[1] != prior.mean.shape[0]:
+        raise DimensionMismatch(
+            f"data has dimension {data.design.shape[1]}, "
+            f"prior has {prior.mean.shape[0]}"
+        )
+
+
 def fit_posterior(data: RegressionData, sigma: float) -> GaussPosterior:
     """Posterior from the flat prior: mean solves least squares exactly.
 
     Requires at least as many observations as weight dimensions and a
     well-conditioned design; the covariance is the noise variance spread
-    through the inverse normal matrix, computed from the QR factors.
+    through the inverse normal matrix, read off the QR factor.
     """
     sigma = _check_noise(sigma)
-    x, y = data.design, data.targets
-    n_obs, dim = x.shape
+    n_obs, dim = data.design.shape
     if n_obs < dim:
         raise RankDeficient(
             f"{n_obs} observations cannot determine {dim} weights"
         )
-    q, r = np.linalg.qr(x)
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond * cond >= MAX_NORMAL_CONDITION:
-        raise RankDeficient(
-            f"normal matrix condition {cond * cond:.3e} exceeds "
-            f"{MAX_NORMAL_CONDITION:.0e}"
-        )
-    mean = solve_triangular(r, q.T @ y)
-    r_inv = solve_triangular(r, np.eye(dim))
-    cov = sigma * sigma * (r_inv @ r_inv.T)
-    return GaussPosterior(mean=mean, cov=0.5 * (cov + cov.T))
+    return _from_rows(np.column_stack([data.design, data.targets]) / sigma)
 
 
 def map_estimate(post: GaussPosterior) -> np.ndarray:
@@ -170,52 +172,46 @@ def predictive_density(
             f"input has dimension {x_star.shape[0]}, "
             f"posterior has {post.mean.shape[0]}"
         )
-    row = GaussChannel(
-        weight=x_star[None, :],
-        offset=np.zeros(1),
-        noise_cov=np.array([[sigma * sigma]]),
-    )
-    mean, cov = row.push(post)
-    return float(mean[0]), float(cov[0, 0])
+    return float(x_star @ post.mean), float(x_star @ post.cov @ x_star + sigma * sigma)
 
 
 def gauss_sequential(
     data: RegressionData, sigma: float, prior: GaussPosterior
 ) -> GaussPosterior:
-    """Fold the observations in one at a time with the rank-one update."""
+    """Fold the observations in one at a time with Potter's square-root update.
+
+    Each row ``x`` with ``f = S^T x`` and ``a = 1 / (f.f + sigma^2)`` moves
+    ``S`` to ``S - a / (1 + sqrt(a sigma^2)) (S f) f^T``, whose square is the
+    conditioned covariance ``cov - a (cov x)(cov x)^T``.
+    """
     sigma = _check_noise(sigma)
-    if data.design.shape[1] != prior.mean.shape[0]:
-        raise DimensionMismatch(
-            f"data has dimension {data.design.shape[1]}, "
-            f"prior has {prior.mean.shape[0]}"
-        )
+    _check_dim(data, prior)
+    var = sigma * sigma
     mean = prior.mean.copy()
-    cov = prior.cov.copy()
+    root = prior.root.copy()
     for x, y in zip(data.design, data.targets):
-        cx = cov @ x
-        gain = cx / (sigma * sigma + x @ cx)
-        mean = mean + gain * (y - x @ mean)
-        cov = cov - np.outer(gain, cx)
-        cov = 0.5 * (cov + cov.T)
-    return GaussPosterior(mean=mean, cov=cov)
+        f = x @ root
+        gain = root @ f
+        a = 1.0 / (float(f @ f) + var)
+        mean += (a * float(y - x @ mean)) * gain
+        root -= (a / (1.0 + math.sqrt(a * var))) * np.outer(gain, f)
+    _guard(root)
+    return GaussPosterior(mean=mean, cov=root @ root.T)
 
 
 def gauss_batch(
     data: RegressionData, sigma: float, prior: GaussPosterior
 ) -> GaussPosterior:
-    """Absorb all observations at once in precision form."""
+    """Absorb all observations at once: the fit's QR with the prior on top.
+
+    The prior enters as the whitened rows ``[L^-1 | L^-1 mean]``, with ``L``
+    its Cholesky factor, stacked above the noise-scaled data rows.
+    """
     sigma = _check_noise(sigma)
-    x, y = data.design, data.targets
+    _check_dim(data, prior)
     dim = prior.mean.shape[0]
-    if x.shape[1] != dim:
-        raise DimensionMismatch(
-            f"data has dimension {x.shape[1]}, prior has {dim}"
-        )
-    eye = np.eye(dim)
-    prior_prec = cho_solve(cho_factor(prior.cov), eye)
-    precision = prior_prec + (x.T @ x) / (sigma * sigma)
-    shift = prior_prec @ prior.mean + (x.T @ y) / (sigma * sigma)
-    factor = cho_factor(0.5 * (precision + precision.T))
-    mean = cho_solve(factor, shift)
-    cov = cho_solve(factor, eye)
-    return GaussPosterior(mean=mean, cov=0.5 * (cov + cov.T))
+    prior_rows = solve_triangular(
+        prior.root, np.column_stack([np.eye(dim), prior.mean]), lower=True
+    )
+    data_rows = np.column_stack([data.design, data.targets]) / sigma
+    return _from_rows(np.vstack([prior_rows, data_rows]))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import prod
 
@@ -46,7 +45,6 @@ from .finstoch import (
     pair_label,
     product,
     right_unitor_inv,
-    state,
     state_tensor,
     tensor,
 )
@@ -225,7 +223,7 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
         raise ZeroLikelihoodBatch(
             "observation tuple has zero mass under the prior predictive"
         )
-    return state(model.params, (w / total for w in weights))
+    return _trusted(UNIT, model.params, (tuple(w / total for w in weights),))
 
 
 def batch_update(model: Model, data: TrainingSet) -> State:
@@ -285,29 +283,3 @@ def full_predictive(model: Model, prior: State | None = None) -> Kernel:
         ),
     )
 
-
-def output_marginal_mismatch(
-    model: Model, data: TrainingSet, prior: State | None = None
-) -> tuple[State, State] | None:
-    """Compare the model-induced output distribution with the data's.
-
-    The update pipeline assumes observed outputs are distributed like the
-    model's own output marginal.  When the empirical output frequencies of
-    ``data`` differ, this returns ``(expected, empirical)`` so callers can
-    surface a diagnostic; the pipeline itself proceeds with the model's
-    marginal.  Returns ``None`` when they agree or ``data`` is empty.
-    """
-    if len(data) == 0:
-        return None
-    expected = output_marginal(model, prior)
-    counts = {label: 0 for label in model.output_space.elements}
-    for _, y in data:
-        model.output_space.index(y)
-        counts[y] += 1
-    empirical = state(
-        model.output_space,
-        (Fraction(counts[label], len(data)) for label in model.output_space.elements),
-    )
-    if empirical == expected:
-        return None
-    return expected, empirical

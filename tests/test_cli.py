@@ -125,15 +125,6 @@ def test_learn_argmax(capsys):
     assert doc["argmax"] == "m0"
 
 
-def test_learn_warns_on_marginal_mismatch(capsys):
-    code, _, err = run(capsys, "learn", BUNDLE, CSV)
-    assert code == 0
-    warning = json.loads(err)
-    assert warning["warning"] == "output-marginal-mismatch"
-    assert warning["expected"] == {"y0": "11/24", "y1": "13/24"}
-    assert warning["observed"] == {"y0": "1/2", "y1": "1/2"}
-
-
 def test_learn_zero_likelihood_exits_two(capsys, tmp_path):
     m = FinSpace("M", ("m0", "m1"))
     x = FinSpace("X", ("x0",))
@@ -290,6 +281,27 @@ def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     path.write_text("x1,x2,y\n1.0,2.0,3.0\n")
     code, _, err = run(capsys, "gauss", "fit", str(path), "--sigma", "1.0")
     assert code == 1
+    assert json.loads(err)["type"] == "RankDeficient"
+
+
+@pytest.mark.parametrize("mode", ["seq", "batch"])
+def test_gauss_update_refuses_a_duplicate_column(capsys, tmp_path, mode):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 2))
+    y = x @ np.array([1.0, -1.0]) + 0.1 * rng.normal(size=30)
+    lines = ["x1,x2,x3,y"]
+    for (a, b), t in zip(x.tolist(), y.tolist()):
+        lines.append(f"{a!r},{b!r},{b!r},{t!r}")
+    path = tmp_path / "dup.csv"
+    path.write_text("\n".join(lines) + "\n")
+    prior = write_json(
+        tmp_path, "gprior.json", {"mean": [0.0] * 3, "cov": (1e10 * np.eye(3)).tolist()}
+    )
+    code, out, err = run(
+        capsys, "gauss", "update", prior, str(path), "--sigma", "0.5", "--mode", mode
+    )
+    assert code == 1
+    assert out == ""
     assert json.loads(err)["type"] == "RankDeficient"
 
 

@@ -1,7 +1,7 @@
 """Closure: operations on valid kernels build valid kernels.
 
-Compositions, products, structural channels, inversion and conditioning
-build their results without the checks of the public constructors,
+Compositions, products, structural channels, inversion, conditioning and
+the learning updates build their results without the checks of the public constructors,
 because stochastic kernels are closed under them by theorem.  These tests
 hold every such result to the public checks on seeded random inputs, with
 zero entries common so that dead rows and zero-mass outputs occur.
@@ -16,6 +16,7 @@ from markov_bayes import (
     PSMorphism,
     associator,
     associator_inv,
+    batch_update_factorized,
     canonicalize,
     compose,
     condition,
@@ -135,6 +136,7 @@ def test_learning_results_are_closed():
         for st in sequential_update(model, data).states:
             assert_closed(st)
             steps += 1
+        assert_closed(batch_update_factorized(model, data))
     assert steps > len(SEEDS)
 
 

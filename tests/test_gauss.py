@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from markov_bayes import (
     DimensionMismatch,
-    GaussChannel,
     GaussPosterior,
     RankDeficient,
     RegressionData,
@@ -50,21 +49,6 @@ def test_posterior_rejects_bad_covariances():
         GaussPosterior(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(RankDeficient):
         GaussPosterior(mean=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_channel_validation():
-    with pytest.raises(DimensionMismatch):
-        GaussChannel(weight=np.ones((2, 3)), offset=np.zeros(1), noise_cov=np.eye(2))
-    with pytest.raises(ValueError):
-        GaussChannel(
-            weight=np.ones((2, 3)),
-            offset=np.zeros(2),
-            noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]]),
-        )
-    post = GaussPosterior(mean=np.zeros(2), cov=np.eye(2))
-    chan = GaussChannel(weight=np.ones((1, 3)), offset=np.zeros(1), noise_cov=np.eye(1))
-    with pytest.raises(DimensionMismatch):
-        chan.push(post)
 
 
 def test_noise_scale_must_be_positive():
@@ -122,18 +106,6 @@ def test_predictive_density_dimension_check():
     post = GaussPosterior(mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(DimensionMismatch):
         predictive_density(post, np.array([1.0]), sigma=1.0)
-
-
-def test_push_through_a_channel():
-    post = GaussPosterior(mean=np.array([1.0, -1.0]), cov=np.diag([1.0, 4.0]))
-    chan = GaussChannel(
-        weight=np.array([[2.0, 1.0]]),
-        offset=np.array([3.0]),
-        noise_cov=np.array([[0.5]]),
-    )
-    mean, cov = chan.push(post)
-    assert mean[0] == pytest.approx(2.0 - 1.0 + 3.0)
-    assert cov[0, 0] == pytest.approx(4.0 * 1.0 + 1.0 * 4.0 + 0.5)
 
 
 # ---------- proper-prior updates ----------
@@ -203,3 +175,52 @@ def test_tight_prior_dominates_and_wide_prior_recovers_the_fit():
     tight = GaussPosterior(mean=np.array([7.0, -7.0]), cov=1e-12 * np.eye(2))
     post = gauss_batch(data, sigma, tight)
     assert np.max(np.abs(post.mean - tight.mean)) < 1e-6
+
+
+# ---------- one guard for every route ----------
+
+
+def near_collinear_probe(seed: int) -> RegressionData:
+    """5000x8 uniform design whose last column is the one before plus 1e-6 noise."""
+    npr = np.random.default_rng(seed)
+    x = npr.uniform(-1.0, 1.0, (5000, 8))
+    x[:, -1] = x[:, -2] + 1e-6 * npr.standard_normal(5000)
+    y = x @ npr.uniform(-2.0, 2.0, 8) + 0.5 * npr.standard_normal(5000)
+    return RegressionData(design=x, targets=y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sequential_and_batch_agree_or_refuse_together_near_collinearity(seed):
+    data = near_collinear_probe(seed)
+    prior = GaussPosterior(mean=np.zeros(8), cov=1e8 * np.eye(8))
+    with pytest.raises(RankDeficient):
+        fit_posterior(data, 0.5)
+    posts = []
+    for update in (gauss_sequential, gauss_batch):
+        try:
+            posts.append(update(data, 0.5, prior))
+        except RankDeficient:
+            pass
+    if not posts:
+        return
+    assert len(posts) == 2, "only one of the two updates refused"
+    seq, bat = posts
+    # agreement to a share of scale: 1 + max|mean| for means, max|cov| for covariances
+    mean_scale = 1.0 + max(np.max(np.abs(seq.mean)), np.max(np.abs(bat.mean)))
+    cov_scale = max(np.max(np.abs(seq.cov)), np.max(np.abs(bat.cov)))
+    assert np.max(np.abs(seq.mean - bat.mean)) <= 1e-6 * mean_scale
+    assert np.max(np.abs(seq.cov - bat.cov)) <= 1e-6 * cov_scale
+
+
+def test_every_route_refuses_a_duplicate_column():
+    rng = random.Random(13)
+    data = make_data(rng, 40, 3)
+    x = np.column_stack([data.design, data.design[:, -1]])
+    data = RegressionData(design=x, targets=data.targets)
+    prior = GaussPosterior(mean=np.zeros(4), cov=1e10 * np.eye(4))
+    with pytest.raises(RankDeficient):
+        fit_posterior(data, 0.5)
+    with pytest.raises(RankDeficient):
+        gauss_sequential(data, 0.5, prior)
+    with pytest.raises(RankDeficient):
+        gauss_batch(data, 0.5, prior)

@@ -28,7 +28,6 @@ from markov_bayes import (
     joint_channel,
     observation_space,
     output_marginal,
-    output_marginal_mismatch,
     pair_label,
     posterior_channel,
     predictive,
@@ -376,30 +375,6 @@ def test_full_predictive_with_a_point_prior_reads_that_parameter(two_point_model
         m.output_space, m.channel,
     )
     assert full_predictive(model).dist("x0") == (rat("2/3"), rat("1/3"))
-
-
-# ---------- diagnostics ----------
-
-
-def test_output_marginal_mismatch_flags_skew(two_point_model):
-    result = output_marginal_mismatch(
-        two_point_model, pairs(("x0", "y0"), ("x0", "y1"))
-    )
-    assert result is not None
-    expected, empirical = result
-    assert expected.probs == (rat("11/24"), rat("13/24"))
-    assert empirical.probs == (rat("1/2"), rat("1/2"))
-
-
-def test_output_marginal_mismatch_is_silent_on_agreement():
-    m = FinSpace("M", ("m0",))
-    x = FinSpace("X", ("x0",))
-    y = FinSpace("Y", ("y0", "y1"))
-    channel = Kernel(product(m, x), y, (("1/2", "1/2"),))
-    model = Model(m, delta(m, "m0"), x, delta(x, "x0"), y, channel)
-    data = pairs(("x0", "y0"), ("x0", "y1"))
-    assert output_marginal_mismatch(model, data) is None
-    assert output_marginal_mismatch(model, pairs()) is None
 
 
 # ---------- containers ----------
