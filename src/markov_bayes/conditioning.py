@@ -15,12 +15,10 @@ Every kernel built here from validated inputs goes through the unchecked
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotAProductSpace, SpaceMismatch
 from .finstoch import (
-    RAT0,
     UNIT,
     Kernel,
     FinSpace,
@@ -31,7 +29,6 @@ from .finstoch import (
     identity,
     product,
     tensor,
-    uniform_row,
 )
 
 
@@ -59,7 +56,7 @@ def _require_state(pi: Kernel) -> None:
 def support(pi: State) -> Support:
     _require_state(pi)
     members = frozenset(
-        label for label, p in zip(pi.target.elements, pi.probs) if p
+        label for label, p in zip(pi.target.elements, pi._num[0]) if p
     )
     return Support(pi.target, members)
 
@@ -75,13 +72,17 @@ def canonicalize(f: Kernel, pi: State) -> Kernel:
         raise SpaceMismatch(
             f"state on {pi.target.name!r} cannot canonicalize {f!r}"
         )
-    filler = uniform_row(len(f.target))
-    rows = tuple(
-        row if p else filler for p, row in zip(pi.probs, f.rows)
-    )
-    if rows == f.rows:
+    width = len(f.target)
+    filler = (1,) * width
+    probs = pi._num[0]
+    if all(p or row == filler for p, row in zip(probs, f._num)):
         return f
-    return _trusted(f.source, f.target, rows)
+    return _trusted(
+        f.source,
+        f.target,
+        tuple(row if p else filler for p, row in zip(probs, f._num)),
+        tuple(d if p else width for p, d in zip(probs, f._den)),
+    )
 
 
 def jointify(pi: State, f: Kernel) -> State:
@@ -113,20 +114,25 @@ def disintegrate(omega: State) -> Disintegration:
         )
     x, y = omega.target.factors
     ny = len(y)
-    probs = omega.probs
-    marg = []
-    rows = []
+    joint = omega._num[0]
+    marg, num, den = [], [], []
     for i in range(len(x)):
-        block = probs[i * ny : (i + 1) * ny]
-        total = sum(block, RAT0)
+        block = joint[i * ny : (i + 1) * ny]
+        total = sum(block)
         marg.append(total)
         if total:
-            rows.append(tuple(p / total for p in block))
+            c = gcd(*block)
+            num.append(block if c == 1 else tuple([p // c for p in block]))
+            den.append(total // c)
         else:
-            rows.append(uniform_row(ny))
+            num.append((1,) * ny)
+            den.append(ny)
+    c = gcd(*marg)
     return Disintegration(
-        marginal=_trusted(UNIT, x, (tuple(marg),)),
-        channel=_trusted(x, y, tuple(rows)),
+        marginal=_trusted(
+            UNIT, x, (tuple([p // c for p in marg]),), (omega._den[0] // c,)
+        ),
+        channel=_trusted(x, y, tuple(num), tuple(den)),
     )
 
 
@@ -138,9 +144,10 @@ def invert(f: Kernel, pi: State) -> Kernel:
     pushforward never produces are uniform.
 
     Each joint weight ``pi(x) * f(x)(y)`` is formed once, as an integer:
-    scaled by the common denominator of ``pi`` and that of column ``y`` of
-    ``f``.  The column's sum is then its pushforward mass under the same
-    scale, which cancels when each weight is divided by it.
+    the numerator of ``pi(x)`` times that of ``f(x)(y)`` over the lcm of
+    the row denominators of ``f``.  A column's sum is then its pushforward
+    mass under the same scale, which cancels when each weight is divided by
+    it.
     """
     _require_state(pi)
     if pi.target != f.source:
@@ -148,20 +155,30 @@ def invert(f: Kernel, pi: State) -> Kernel:
             f"state on {pi.target.name!r} does not match source of {f!r}"
         )
     nx = len(f.source)
-    d = lcm(*(p.denominator for p in pi.probs))
-    prior = [p.numerator * (d // p.denominator) for p in pi.probs]
-    rows = []
-    for column in zip(*f.rows):
-        c = lcm(*(e.denominator for e in column))
-        joint = [
-            a * e.numerator * (c // e.denominator) for a, e in zip(prior, column)
-        ]
+    prior = pi._num[0]
+    scale = lcm(*f._den)
+    rescale = [scale // d for d in f._den]
+    # The prior's numerators have gcd 1.  If the rows it weighs have no
+    # zero, a common factor of a column's weights therefore divides the lcm
+    # of that column's small likelihood numerators, and starting the gcd
+    # there spares a gcd of two large weights.
+    bounded = all(0 not in row for p, row in zip(prior, f._num) if p)
+    weights = [p * r for p, r in zip(prior, rescale)]
+    num, den = [], []
+    for column in zip(*f._num):
+        joint = [a * e for a, e in zip(weights, column)]
         mass = sum(joint)
-        if mass:
-            rows.append(tuple(Fraction(w, mass) for w in joint))
+        if not mass:
+            num.append((1,) * nx)
+            den.append(nx)
+            continue
+        if bounded:
+            c = gcd(lcm(*[r * e for r, e in zip(rescale, column) if e]), *joint)
         else:
-            rows.append(uniform_row(nx))
-    return _trusted(f.target, f.source, tuple(rows))
+            c = gcd(*joint)
+        num.append(tuple([w // c for w in joint]))
+        den.append(mass // c)
+    return _trusted(f.target, f.source, tuple(num), tuple(den))
 
 
 def as_equal(f: Kernel, g: Kernel, pi: State) -> bool:
@@ -188,7 +205,7 @@ def is_uniquely_invertible_at(f: Kernel, pi: State, y: str) -> bool:
             f"state on {pi.target.name!r} does not match source of {f!r}"
         )
     j = f.target.index(y)
-    return compose(pi, f).probs[j] != 0
+    return compose(pi, f)._num[0][j] != 0
 
 
 def condition(s: Kernel) -> Kernel:
@@ -205,11 +222,11 @@ def condition(s: Kernel) -> Kernel:
     x, y = s.target.factors
     a = s.source
     channels = [
-        disintegrate(_trusted(UNIT, s.target, (row,))).channel for row in s.rows
+        disintegrate(_trusted(UNIT, s.target, (row,), (d,))).channel
+        for row, d in zip(s._num, s._den)
     ]
     src = product(x, a)
     na = len(a)
-    rows = tuple(
-        channels[i % na].rows[i // na] for i in range(len(src))
-    )
-    return _trusted(src, y, rows)
+    num = tuple(channels[i % na]._num[i // na] for i in range(len(src)))
+    den = tuple(channels[i % na]._den[i // na] for i in range(len(src)))
+    return _trusted(src, y, num, den)

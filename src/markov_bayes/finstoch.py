@@ -3,10 +3,26 @@
 A :class:`FinSpace` is a named, ordered finite set of outcome labels.  A
 :class:`Kernel` is a row-stochastic table of rationals from a source space to
 a target space; a kernel whose source is the one-point space ``UNIT`` is a
-probability state.  All arithmetic is done with :class:`fractions.Fraction`,
-so composition, products and the copy/discard/swap structure satisfy their
-algebraic identities on the nose and tests can use ``==`` rather than
-tolerances.
+probability state.  Arithmetic is exact, so composition, products and the
+copy/discard/swap structure satisfy their algebraic identities on the nose
+and tests can use ``==`` rather than tolerances.
+
+Each row is stored as a tuple of ``int`` numerators over one ``int``
+denominator, in lowest terms: the numerators sum to the denominator and
+their gcd is 1.  That form is unique, so kernel equality and hashing compare
+integer tuples.  Operations work on the integers: :func:`compose` takes one
+lcm and one gcd per row, and :func:`tensor` none, because a product of
+lowest-terms stochastic rows is already in lowest terms.  The public
+``rows``, ``probs``, ``entry`` and ``dist`` read a :class:`fractions.Fraction`
+view that is built on first read and cached.
+
+Deterministic kernels (``identity``, ``copy``, ``discard``, ``delta``, ``swap``
+and the other structural channels) also carry a private index map, the
+target index of each source point.  Composing with one is a gather of rows
+or a sum of numerators into image columns rather than a matrix product, and
+the tensor of two of them is deterministic again.  Deterministic kernels
+are exactly the ones that commute with copy (Fritz 2020, arXiv:1908.07021),
+which is what licenses applying them as functions.
 
 Checking happens once, at the public constructors: :class:`Kernel` and
 :func:`state` validate types, shapes and exact row sums.  Operations on
@@ -18,20 +34,22 @@ that every such result equals the checked construction of the same rows.
 
 Product spaces keep a record of their two factors.  That record is a
 construction artifact: space equality looks only at the name and the labels,
-never at the factors.
+never at the factors.  :func:`product` is memoized on the identity of its two
+factors and holds its results weakly, so a space is built once while it is
+in use and no longer than that.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from weakref import WeakValueDictionary
 
 from .errors import SpaceMismatch, UnknownLabel
-
-RAT0 = Fraction(0)
-RAT1 = Fraction(1)
 
 PAIR_SEP = "⊗"  # the product separator used in labels and space names
 
@@ -71,13 +89,28 @@ def pair_label(a: str, b: str) -> str:
     return f"{a}{PAIR_SEP}{b}"
 
 
+def _pair_labels(x: "FinSpace", y: "FinSpace") -> tuple[str, ...]:
+    return tuple([pair_label(a, b) for a in x.elements for b in y.elements])
+
+
+def _positions(name: str, elements: tuple[str, ...]) -> dict[str, int]:
+    """Each label's position, checking that there is one and none repeats."""
+    if not elements:
+        raise ValueError(f"space {name!r} has no elements")
+    positions = {label: i for i, label in enumerate(elements)}
+    if len(positions) != len(elements):
+        raise ValueError(f"space {name!r} has repeated labels")
+    return positions
+
+
 @dataclass(frozen=True)
 class FinSpace:
     """A named finite set of distinct outcome labels, in a fixed order.
 
     Two spaces are equal exactly when their names and their ordered label
     tuples agree.  The optional factor record produced by :func:`product`
-    does not participate in equality or hashing.
+    does not participate in equality or hashing, but it must produce the
+    labels: the pair labels of its two factors, first-factor major.
     """
 
     name: str
@@ -91,12 +124,11 @@ class FinSpace:
     def __post_init__(self):
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
-        if not elements:
-            raise ValueError(f"space {self.name!r} has no elements")
-        positions = {label: i for i, label in enumerate(elements)}
-        if len(positions) != len(elements):
-            raise ValueError(f"space {self.name!r} has repeated labels")
-        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_positions", _positions(self.name, elements))
+        if self.factors is not None and elements != _pair_labels(*self.factors):
+            raise ValueError(
+                f"space {self.name!r}: its factors do not produce its labels"
+            )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -111,11 +143,32 @@ class FinSpace:
 #: The one-point space: the monoidal unit and the source of every state.
 UNIT = FinSpace("I", ("*",))
 
+#: (id(x), id(y)) -> product(x, y).  A live product holds both factors, so
+#: the ids in its key belong to those very objects for as long as it lives.
+_PRODUCTS: WeakValueDictionary = WeakValueDictionary()
+
 
 def product(x: FinSpace, y: FinSpace) -> FinSpace:
-    """The product space, with pair labels ordered first by ``x`` then by ``y``."""
-    labels = tuple(pair_label(a, b) for a in x.elements for b in y.elements)
-    return FinSpace(pair_label(x.name, y.name), labels, factors=(x, y))
+    """The product space, with pair labels ordered first by ``x`` then by ``y``.
+
+    Calls with the same two factor objects return the same space while it
+    is alive, so its factor record is always exactly the arguments given.
+    """
+    key = (id(x), id(y))
+    space = _PRODUCTS.get(key)
+    if space is None:
+        # the labels are built here once; the constructor's check that the
+        # factors produce them would build them again
+        name, labels = pair_label(x.name, y.name), _pair_labels(x, y)
+        space = object.__new__(FinSpace)
+        space.__dict__.update(
+            name=name,
+            elements=labels,
+            factors=(x, y),
+            _positions=_positions(name, labels),
+        )
+        _PRODUCTS[key] = space
+    return space
 
 
 def _coerce_entry(e) -> Fraction:
@@ -129,23 +182,24 @@ def _coerce_entry(e) -> Fraction:
     return Fraction(e)
 
 
-@dataclass(frozen=True)
 class Kernel:
     """A row-stochastic table of rationals from ``source`` to ``target``.
 
     Row ``i`` is the distribution of the target outcome given source element
     ``i``.  Construction validates the shape and that every row sums to one
-    exactly.  Kernels are immutable and compare entrywise.  Operations on
-    kernels build their results with :func:`_trusted`, which skips these
-    checks because the result is stochastic by theorem.
+    exactly.  Kernels are immutable and hashable, and compare entrywise.
+
+    Internally row ``i`` is the numerators ``_num[i]`` over the denominator
+    ``_den[i]``, in lowest terms; ``rows`` is the :class:`Fraction` view of
+    them, which the constructor keeps when it is handed ``Fraction`` rows
+    and builds on first read otherwise.  A deterministic kernel may also
+    carry ``_map``, the target index of each source point; a kernel without
+    one is handled by the general routes, whatever its entries.
+    Operations on kernels build their results with :func:`_trusted`, which
+    skips the checks because the result is stochastic by theorem.
     """
 
-    source: FinSpace
-    target: FinSpace
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, source: FinSpace, target: FinSpace, rows) -> None:
         if not (
             type(rows) is tuple
             and all(
@@ -154,33 +208,82 @@ class Kernel:
             )
         ):
             rows = tuple(tuple(_coerce_entry(e) for e in row) for row in rows)
-            object.__setattr__(self, "rows", rows)
-        if len(rows) != len(self.source):
+        if len(rows) != len(source):
             raise ValueError(
                 f"kernel has {len(rows)} rows but source "
-                f"{self.source.name!r} has {len(self.source)} elements"
+                f"{source.name!r} has {len(source)} elements"
             )
-        width = len(self.target)
+        width = len(target)
+        num, den = [], []
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     f"row {i} has {len(row)} entries but target "
-                    f"{self.target.name!r} has {width} elements"
+                    f"{target.name!r} has {width} elements"
                 )
-            total = RAT0
-            for e in row:
-                # integer field checks dodge Fraction's slow rich comparisons
-                if e.numerator < 0:
-                    raise ValueError(f"negative entry {e} in row {i}")
-                if e.numerator:
-                    total += e
-            if total.numerator != total.denominator:
-                raise ValueError(f"row {i} sums to {total}, not 1")
+            # over the lcm of the entries' lowest-terms denominators the
+            # numerators have gcd 1 with it, so the row is in lowest terms
+            d = lcm(*(e.denominator for e in row))
+            ints = tuple(e.numerator * (d // e.denominator) for e in row)
+            if min(ints) < 0:
+                bad = next(e for e in row if e.numerator < 0)
+                raise ValueError(f"negative entry {bad} in row {i}")
+            total = sum(ints)
+            if total != d:
+                raise ValueError(f"row {i} sums to {Fraction(total, d)}, not 1")
+            num.append(ints)
+            den.append(d)
+        self.__dict__.update(
+            source=source,
+            target=target,
+            rows=rows,
+            _num=tuple(num),
+            _den=tuple(den),
+            _map=None,
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Kernel:
+            return NotImplemented
+        if self._map is not None and other._map is not None:
+            same = self._map == other._map
+        else:
+            same = self._num == other._num
+        return same and self.source == other.source and self.target == other.target
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self._num))
 
     def __repr__(self) -> str:
         return (
             f"Kernel({self.source.name!r} -> {self.target.name!r}, "
             f"{len(self.source)}x{len(self.target)})"
+        )
+
+    # Every constructor but _deterministic stores _num and _den, which then
+    # shadow these; a deterministic kernel builds its one-hot rows only
+    # when a general route first reads them.
+    @cached_property
+    def _num(self) -> tuple[tuple[int, ...], ...]:
+        m = len(self.target)
+        return tuple((0,) * j + (1,) + (0,) * (m - j - 1) for j in self._map)
+
+    @cached_property
+    def _den(self) -> tuple[int, ...]:
+        return (1,) * len(self._map)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as :class:`Fraction` entries."""
+        return tuple(
+            tuple(Fraction(n, d) for n in num)
+            for num, d in zip(self._num, self._den)
         )
 
     def entry(self, x: str, y: str) -> Fraction:
@@ -193,7 +296,7 @@ class Kernel:
     @property
     def probs(self) -> tuple[Fraction, ...]:
         """The single row of a state; raises if the source is not one-point."""
-        if len(self.rows) != 1:
+        if len(self.source) != 1:
             raise ValueError(f"{self!r} is not a state")
         return self.rows[0]
 
@@ -205,15 +308,22 @@ class Kernel:
 State = Kernel
 
 
-def _trusted(source: FinSpace, target: FinSpace, rows) -> Kernel:
+def _trusted(source: FinSpace, target: FinSpace, num, den) -> Kernel:
     """A kernel built without the checks of :class:`Kernel`.
 
-    Only for results of operations on validated kernels: ``rows`` must
-    already be a tuple of tuples of :class:`Fraction` of the right shape,
-    each row summing to one.
+    Only for results of operations on validated kernels: ``num`` must be a
+    tuple of lowest-terms integer rows of the right shape, each summing to
+    its entry of ``den``.
     """
     k = object.__new__(Kernel)
-    k.__dict__.update(source=source, target=target, rows=rows)
+    k.__dict__.update(source=source, target=target, _num=num, _den=den, _map=None)
+    return k
+
+
+def _deterministic(source: FinSpace, target: FinSpace, imap: tuple[int, ...]) -> Kernel:
+    """The kernel sending source index ``i`` to target index ``imap[i]``."""
+    k = object.__new__(Kernel)
+    k.__dict__.update(source=source, target=target, _map=imap)
     return k
 
 
@@ -224,13 +334,12 @@ def state(space: FinSpace, values) -> State:
 
 def delta(space: FinSpace, label: str) -> State:
     """The point-mass state at ``label``."""
-    i = space.index(label)
-    row = tuple(RAT1 if j == i else RAT0 for j in range(len(space)))
-    return _trusted(UNIT, space, (row,))
+    return _deterministic(UNIT, space, (space.index(label),))
 
 
 def uniform_state(space: FinSpace) -> State:
-    return _trusted(UNIT, space, (uniform_row(len(space)),))
+    n = len(space)
+    return _trusted(UNIT, space, ((1,) * n,), (n,))
 
 
 def uniform_row(n: int) -> tuple[Fraction, ...]:
@@ -238,22 +347,12 @@ def uniform_row(n: int) -> tuple[Fraction, ...]:
 
 
 def identity(space: FinSpace) -> Kernel:
-    n = len(space)
-    rows = tuple(
-        tuple(RAT1 if j == i else RAT0 for j in range(n)) for i in range(n)
-    )
-    return _trusted(space, space, rows)
+    return _deterministic(space, space, tuple(range(len(space))))
 
 
 def _permutation(source: FinSpace, target: FinSpace, image) -> Kernel:
     """Deterministic kernel sending source index ``i`` to target index ``image(i)``."""
-    n, m = len(source), len(target)
-    rows = []
-    for i in range(n):
-        row = [RAT0] * m
-        row[image(i)] = RAT1
-        rows.append(tuple(row))
-    return _trusted(source, target, tuple(rows))
+    return _deterministic(source, target, tuple(map(image, range(len(source)))))
 
 
 def copy(space: FinSpace) -> Kernel:
@@ -264,7 +363,7 @@ def copy(space: FinSpace) -> Kernel:
 
 def discard(space: FinSpace) -> Kernel:
     """The unique kernel ``X -> UNIT`` that forgets the outcome."""
-    return _trusted(space, UNIT, ((RAT1,),) * len(space))
+    return _deterministic(space, UNIT, (0,) * len(space))
 
 
 def swap(x: FinSpace, y: FinSpace) -> Kernel:
@@ -278,41 +377,74 @@ def swap(x: FinSpace, y: FinSpace) -> Kernel:
 
 
 def compose(f: Kernel, g: Kernel) -> Kernel:
-    """Sequential composition, ``f`` first: the exact matrix product."""
+    """Sequential composition, ``f`` first: the exact matrix product.
+
+    A deterministic ``f`` selects rows of ``g``, and a deterministic ``g``
+    adds each row of ``f`` into its image columns; otherwise each row is
+    summed over the lcm of the ``g`` rows it meets and reduced by one gcd.
+    """
     if f.target != g.source:
         raise SpaceMismatch(
             f"cannot compose {f!r} with {g!r}: target "
             f"{f.target.name!r} != source {g.source.name!r}"
         )
+    fmap, gmap = f._map, g._map
+    if fmap is not None:
+        if gmap is not None:
+            return _deterministic(f.source, g.target, tuple(gmap[i] for i in fmap))
+        gnum, gden = g._num, g._den
+        return _trusted(
+            f.source,
+            g.target,
+            tuple(gnum[i] for i in fmap),
+            tuple(gden[i] for i in fmap),
+        )
     width = len(g.target)
-    rows = []
-    for frow in f.rows:
-        acc = [RAT0] * width
-        for y, p in enumerate(frow):
-            if p:
-                grow = g.rows[y]
-                for z, q in enumerate(grow):
-                    if q:
-                        acc[z] += p * q
-        rows.append(tuple(acc))
-    return _trusted(f.source, g.target, tuple(rows))
+    num, den = [], []
+    if gmap is not None:
+        for row, d in zip(f._num, f._den):
+            acc = [0] * width
+            for n, z in zip(row, gmap):
+                acc[z] += n
+            # points that share an image can leave a common factor
+            c = gcd(*acc)
+            num.append(tuple(acc) if c == 1 else tuple([a // c for a in acc]))
+            den.append(d // c)
+        return _trusted(f.source, g.target, tuple(num), tuple(den))
+    gnum, gden = g._num, g._den
+    for row, d in zip(f._num, f._den):
+        scale = lcm(*[gden[y] for y, n in enumerate(row) if n])
+        acc = [0] * width
+        for y, n in enumerate(row):
+            if n:
+                s = n * (scale // gden[y])
+                for z, b in enumerate(gnum[y]):
+                    if b:
+                        acc[z] += s * b
+        c = gcd(*acc)
+        num.append(tuple(acc) if c == 1 else tuple([a // c for a in acc]))
+        den.append(d * scale // c)
+    return _trusted(f.source, g.target, tuple(num), tuple(den))
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Parallel composition on product spaces: the Kronecker product."""
+    """Parallel composition on product spaces: the Kronecker product.
+
+    The gcd of the products of two rows' numerators is the product of their
+    gcds, so the product rows need no reduction.
+    """
     src = product(f.source, g.source)
     tgt = product(f.target, g.target)
-    rows = []
-    for frow in f.rows:
-        for grow in g.rows:
-            row = []
-            for p in frow:
-                if p:
-                    row.extend(p * q if q else RAT0 for q in grow)
-                else:
-                    row.extend(RAT0 for _ in grow)
-            rows.append(tuple(row))
-    return _trusted(src, tgt, tuple(rows))
+    fmap, gmap = f._map, g._map
+    if fmap is not None and gmap is not None:
+        m = len(g.target)
+        return _deterministic(src, tgt, tuple(i * m + j for i in fmap for j in gmap))
+    gnum, gden = g._num, g._den
+    num = tuple(
+        [tuple([a * b for a in arow for b in brow]) for arow in f._num for brow in gnum]
+    )
+    den = tuple(d * e for d in f._den for e in gden)
+    return _trusted(src, tgt, num, den)
 
 
 def state_tensor(a: State, b: State) -> State:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import prod
+from math import gcd, lcm, prod
 
 from .conditioning import invert, is_uniquely_invertible_at
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     ZeroLikelihoodObservation,
 )
 from .finstoch import (
-    RAT0,
     UNIT,
     FinSpace,
     Kernel,
@@ -125,13 +124,19 @@ def joint_channel(model: Model) -> Kernel:
     ``coincidence`` law suite checks it against that diagram.
     """
     nx = len(model.input_space)
-    px = model.input_state.probs
-    rows = model.channel.rows
-    joint = tuple(
-        tuple(p * e for xi, p in enumerate(px) for e in rows[i * nx + xi])
-        for i in range(len(model.params))
-    )
-    return _trusted(model.params, observation_space(model), joint)
+    px, a = model.input_state._num[0], model.input_state._den[0]
+    cnum, cden = model.channel._num, model.channel._den
+    num, den = [], []
+    for start in range(0, len(cnum), nx):
+        block = range(start, start + nx)
+        scale = lcm(*[cden[i] for i in block])
+        row = [
+            p * (scale // cden[i]) * e for p, i in zip(px, block) for e in cnum[i]
+        ]
+        c = gcd(*row)
+        num.append(tuple([w // c for w in row]))
+        den.append(a * scale // c)
+    return _trusted(model.params, observation_space(model), tuple(num), tuple(den))
 
 
 def _observation_indices(model: Model, data: TrainingSet) -> list[int]:
@@ -157,9 +162,12 @@ def sequential_update(model: Model, data: TrainingSet) -> PosteriorTrace:
     states = [model.prior]
     for step, j in enumerate(_observation_indices(model, data)):
         current = states[-1]
-        if not any(p and row[j] for p, row in zip(current.probs, fj.rows)):
+        if not any(p and row[j] for p, row in zip(current._num[0], fj._num)):
             raise ZeroLikelihoodObservation(step, fj.target.elements[j])
-        states.append(_trusted(UNIT, model.params, (invert(fj, current).rows[j],)))
+        inverse = invert(fj, current)
+        states.append(
+            _trusted(UNIT, model.params, (inverse._num[j],), (inverse._den[j],))
+        )
     return PosteriorTrace(tuple(states))
 
 
@@ -204,6 +212,24 @@ def batch_update_literal(model: Model, data: TrainingSet) -> State:
     return compose(delta(chan.target, label), invert(chan, model.prior))
 
 
+#: Primes tracked as exponents by the batch update.  Channels of small
+#: rationals have entries that factor over these, so most of the
+#: cancellation between the posterior weights is exponent arithmetic.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _split_small(v: int) -> tuple[list[int], int]:
+    """The exponent of each small prime in ``v``, and the rest of ``v``."""
+    exponents = []
+    for q in _SMALL_PRIMES:
+        e = 0
+        while v % q == 0:
+            v //= q
+            e += 1
+        exponents.append(e)
+    return exponents, v
+
+
 def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     """Batch posterior through the per-parameter likelihood product.
 
@@ -211,19 +237,66 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     probability that factors into per-observation probabilities.  The data
     enter only through how often each joint-channel column occurs, so the
     posterior weight of ``m`` is ``prior(m) * prod_j fj[m][j] ** count(j)``.
+    The input-state factor of column ``j = (x, y)`` is the same for every
+    ``m``, so the weights are read off the model's channel rows instead:
+    ``prior(m) * prod_(x, y) channel(m, x)(y) ** count(x, y)``.
+
+    Each weight is a fraction of small integers raised to the counts.  The
+    small primes are carried as exponents, and what is left of each weight
+    is reduced on its own; over the lcm of those denominators the weights'
+    common factor is then the gcd of their numerators, so no gcd is taken
+    of two weights over the common denominator.
     """
-    fj = joint_channel(model)
     counts = Counter(_observation_indices(model, data))
-    weights = [
-        p * prod(row[j] ** c for j, c in counts.items())
-        for p, row in zip(model.prior.probs, fj.rows)
+    nx, ny = len(model.input_space), len(model.output_space)
+    px = model.input_state._num[0]
+    prior = model.prior._num[0]
+    cnum, cden = model.channel._num, model.channel._den
+    per_input = Counter()
+    for j, c in counts.items():
+        per_input[j // ny] += c
+    live = [
+        m
+        for m, p in enumerate(prior)
+        if p and all(cnum[m * nx + j // ny][j % ny] for j in counts)
     ]
-    total = sum(weights, RAT0)
-    if not total:
+    if not live or not all(px[x] for x in per_input):
         raise ZeroLikelihoodBatch(
             "observation tuple has zero mass under the prior predictive"
         )
-    return _trusted(UNIT, model.params, (tuple(w / total for w in weights),))
+    values = {prior[m] for m in live}
+    values.update(cnum[m * nx + j // ny][j % ny] for j in counts for m in live)
+    values.update(cden[m * nx + x] for x in per_input for m in live)
+    split = {v: _split_small(v) for v in values}
+    exponents, tops, bottoms = [], [], []
+    for m in live:
+        e, top = split[prior[m]]
+        e = list(e)
+        top_powers, bottom_powers = [top], []
+        for j, c in counts.items():
+            ej, rest = split[cnum[m * nx + j // ny][j % ny]]
+            for k, v in enumerate(ej):
+                e[k] += c * v
+            top_powers.append(rest**c)
+        for x, c in per_input.items():
+            ej, rest = split[cden[m * nx + x]]
+            for k, v in enumerate(ej):
+                e[k] -= c * v
+            bottom_powers.append(rest**c)
+        top, bottom = prod(top_powers), prod(bottom_powers)
+        g = gcd(top, bottom)
+        exponents.append(e)
+        tops.append(top // g)
+        bottoms.append(bottom // g)
+    least = [min(col) for col in zip(*exponents)]
+    scale = lcm(*bottoms)
+    # a prime of every reduced top divides no bottom, so none of the scale
+    common = gcd(*tops)
+    weights = [0] * len(prior)
+    for m, e, top, bottom in zip(live, exponents, tops, bottoms):
+        smooth = prod(q ** (x - low) for q, x, low in zip(_SMALL_PRIMES, e, least))
+        weights[m] = smooth * (top // common) * (scale // bottom)
+    return _trusted(UNIT, model.params, (tuple(weights),), (sum(weights),))
 
 
 def batch_update(model: Model, data: TrainingSet) -> State:

@@ -116,9 +116,9 @@ def rand_observations(
     Only the support of the running state matters for either, so it is kept
     as the list of live parameter indices.
     """
-    rows = joint_channel(model).rows
+    rows = joint_channel(model)._num
     ny = len(model.output_space)
-    live = [i for i, p in enumerate(model.prior.probs) if p]
+    live = [i for i, p in enumerate(model.prior._num[0]) if p]
     pairs = []
     for _ in range(count):
         choices = [

@@ -1,7 +1,9 @@
 """Spaces, kernels, and the symmetric monoidal structure."""
 
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,33 @@ def test_space_equality_ignores_factor_record():
     assert hash(p) == hash(bare)
     assert p.factors == (x, y)
     assert bare.factors is None
+
+
+def test_space_rejects_a_factor_record_that_does_not_produce_its_labels():
+    x = FinSpace("X", ("x0", "x1"))
+    y = FinSpace("Y", ("y0", "y1"))
+    with pytest.raises(ValueError):
+        FinSpace("Z", ("a", "b", "c"), factors=(x, y))
+    a, b, c, d = product(x, y).elements
+    with pytest.raises(ValueError):
+        FinSpace("Z", (b, a, c, d), factors=(x, y))
+    assert FinSpace("Z", (a, b, c, d), factors=(x, y)).factors == (x, y)
+
+
+def test_product_is_built_once_per_pair_of_factor_objects():
+    a, b, c, d = (FinSpace(n, (f"{n.lower()}0", f"{n.lower()}1")) for n in "ABCD")
+    left = product(product(a, b), c)
+    right = product(a, product(b, c))
+    assert left == right
+    assert left.factors != right.factors
+    assert product(product(a, b), c) is left
+    for s in (left, right):
+        assert product(s, d) is product(s, d)
+        assert product(s, d).factors[0] is s
+    # a product nothing refers to any more is not kept alive by the memo
+    gone = weakref.ref(product(FinSpace("E", ("e0",)), d))
+    gc.collect()
+    assert gone() is None
 
 
 def test_product_label_order():
@@ -296,3 +325,45 @@ def test_relabel_matches_labels():
     assert k.entry("b", "b") == 1
     with pytest.raises(SpaceMismatch):
         relabel(x, FinSpace("Z", ("a", "c")))
+
+
+# ---------- deterministic kernels as index maps ----------
+
+
+def _structural_channels(rng):
+    x, y, z, w = (rand_space(rng, name, 2) for name in "XYZW")
+    return [
+        identity(x),
+        copy(x),
+        discard(x),
+        delta(x, rng.choice(x.elements)),
+        swap(x, y),
+        left_unitor(x),
+        left_unitor_inv(x),
+        right_unitor(x),
+        right_unitor_inv(x),
+        associator(x, y, z),
+        associator_inv(x, y, z),
+        interchanger(x, y, z, w),
+        relabel(x, FinSpace("X'", tuple(rng.sample(x.elements, len(x))))),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_index_map_route_equals_the_general_route(seed):
+    rng = random.Random(seed)
+    channels = _structural_channels(rng)
+    for k in channels:
+        plain = Kernel(k.source, k.target, k.rows)  # the same rows, no index map
+        assert plain == k and hash(plain) == hash(k)
+        after = rand_kernel(rng, k.target, rand_space(rng, "B", 3))
+        before = rand_kernel(rng, rand_space(rng, "A", 3), k.source)
+        assert compose(k, after) == compose(plain, after)
+        assert compose(before, k) == compose(before, plain)
+        for k2 in channels:
+            plain2 = Kernel(k2.source, k2.target, k2.rows)
+            both = tensor(k, k2)
+            assert both._map is not None  # deterministic in, deterministic out
+            assert both == tensor(plain, plain2) == tensor(k, plain2)
+            if k.target == k2.source:
+                assert compose(k, k2) == compose(plain, plain2)

@@ -247,6 +247,48 @@ def test_sequential_and_batch_coincide_on_heavy_repeats(seed):
     assert sequential_update(model, data).final == batch_update(model, data)
 
 
+def test_batch_removes_a_large_prime_shared_across_columns():
+    # 53 divides each parameter's likelihood in a different column, so only
+    # the product over both observations has it in common
+    m = FinSpace("M", ("m0", "m1"))
+    x = FinSpace("X", ("x0",))
+    y = FinSpace("Y", ("y0", "y1"))
+    channel = Kernel(product(m, x), y, (("53/60", "7/60"), ("7/60", "53/60")))
+    model = Model(m, state(m, ("1/3", "2/3")), x, delta(x, "x0"), y, channel)
+    data = pairs(("x0", "y0"), ("x0", "y1"))
+    posterior = batch_update(model, data)
+    assert posterior.probs == (rat("1/3"), rat("2/3"))
+    assert posterior == sequential_update(model, data).final
+
+
+def test_batch_cancels_a_large_prime_within_one_parameter():
+    # 59 is a numerator of m0's row at x0 and the denominator of its row
+    # at x1, so it cancels inside m0's likelihood
+    m = FinSpace("M", ("m0", "m1"))
+    x = FinSpace("X", ("x0", "x1"))
+    y = FinSpace("Y", ("y0", "y1"))
+    channel = Kernel(
+        product(m, x),
+        y,
+        (("59/60", "1/60"), ("1/59", "58/59"), ("1/2", "1/2"), ("1/2", "1/2")),
+    )
+    model = Model(m, state(m, ("1/3", "2/3")), x, uniform_state(x), y, channel)
+    data = pairs(("x0", "y0"), ("x1", "y1"))
+    posterior = batch_update(model, data)
+    assert posterior.probs == (rat("29/44"), rat("15/44"))
+    assert posterior == sequential_update(model, data).final
+
+
+def test_sequential_and_batch_agree_exactly_past_ten_thousand_bits(two_point_model):
+    rng = random.Random(4500)
+    data = TrainingSet(
+        tuple(("x0", rng.choice(("y0", "y1"))) for _ in range(4500))
+    )
+    final = sequential_update(two_point_model, data).final
+    assert max(p.denominator.bit_length() for p in final.probs) >= 10_000
+    assert final == batch_update(two_point_model, data)
+
+
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_batch_is_order_invariant(seed):
