@@ -11,6 +11,7 @@ as a single JSON object and map to exit codes: 1 for validation problems,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -258,7 +259,13 @@ def cmd_check(args) -> int:
     return EXIT_LAW_VIOLATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process.
+
+    Parsing leaves the parser unchanged, and the parsed arguments name their
+    command, so ``main`` finds its ``cmd_*`` function at call time.
+    """
     ap = _Parser(
         prog="markov-bayes",
         description=(
@@ -271,13 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="Compose kernel files left to right.")
     p.add_argument("kernels", nargs="+", metavar="KERNEL", help="Kernel JSON files, applied in order.")
     p.add_argument("--out", help="Write the result here instead of stdout.")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("invert", help="Invert a kernel against a prior state.")
     p.add_argument("kernel", help="Kernel JSON file.")
     p.add_argument("prior", help="State JSON file (a kernel from the unit space).")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("learn", help="Update a model bundle on a training CSV.")
     p.add_argument("bundle", help="Model bundle JSON file.")
@@ -286,14 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-tsv", help="Also write the per-step posterior trace as TSV (seq mode only).")
     p.add_argument("--argmax", action="store_true", help="Include the most probable parameter label in the output.")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("predict", help="Predict the output distribution at an input.")
     p.add_argument("bundle", help="Model bundle JSON file.")
     p.add_argument("posterior", help="Parameter state JSON (learn output or a bare label map).")
     p.add_argument("x_star", metavar="x", help="Input label to predict at.")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
 
     g = sub.add_parser("gauss", help="Gaussian linear regression backend.")
     gsub = g.add_subparsers(dest="action", required=True, metavar="action")
@@ -302,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", help="Regression CSV with an x1,...,xn,y header.")
     p.add_argument("--sigma", type=float, required=True, help="Observation noise standard deviation.")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gauss)
 
     p = gsub.add_parser("update", help="Condition an existing posterior on new rows.")
     p.add_argument("prior", help="Posterior JSON file to start from.")
@@ -310,21 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--mode", choices=["seq", "batch"], default="batch")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gauss)
 
     p = gsub.add_parser("predict", help="Predictive mean and variance at a point.")
     p.add_argument("posterior", help="Posterior JSON file.")
     p.add_argument("x_star", metavar="x", help="Comma-separated input coordinates.")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("check", help="Run a seeded law suite and report violations.")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--cases", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=None, help="Defaults to MARKOV_BAYES_SEED, then 7.")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check)
 
     return ap
 
@@ -335,8 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as e:
         return _fail(EXIT_VALIDATION, "validation", "usage", str(e))
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ZeroLikelihoodObservation, ZeroLikelihoodBatch) as e:
         return _fail(EXIT_ZERO_LIKELIHOOD, "zero-likelihood", type(e).__name__, str(e))
     except MarkovBayesError as e:

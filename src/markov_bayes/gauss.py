@@ -182,19 +182,24 @@ def gauss_sequential(
 
     Each row ``x`` with ``f = S^T x`` and ``a = 1 / (f.f + sigma^2)`` moves
     ``S`` to ``S - a / (1 + sqrt(a sigma^2)) (S f) f^T``, whose square is the
-    conditioned covariance ``cov - a (cov x)(cov x)^T``.
+    conditioned covariance ``cov - a (cov x)(cov x)^T``.  The outer product
+    is written into one buffer and scaled there, so a step allocates no
+    matrix; the guard runs once, on the final factor.
     """
     sigma = _check_noise(sigma)
     _check_dim(data, prior)
     var = sigma * sigma
     mean = prior.mean.copy()
     root = prior.root.copy()
-    for x, y in zip(data.design, data.targets):
+    step = np.empty_like(root)
+    for x, y in zip(data.design, data.targets.tolist()):
         f = x @ root
         gain = root @ f
         a = 1.0 / (float(f @ f) + var)
         mean += (a * float(y - x @ mean)) * gain
-        root -= (a / (1.0 + math.sqrt(a * var))) * np.outer(gain, f)
+        np.multiply(gain[:, None], f, out=step)
+        step *= a / (1.0 + math.sqrt(a * var))
+        root -= step
     _guard(root)
     return GaussPosterior(mean=mean, cov=root @ root.T)
 

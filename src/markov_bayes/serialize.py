@@ -246,36 +246,53 @@ def regression_data_to_csv(data: RegressionData) -> str:
     return buf.getvalue()
 
 
+def _bad_record(records: list[str], width: int) -> ValueError:
+    """The error for the first record, in file order, that is not ``width`` numbers."""
+    for line, record in enumerate(records, start=2):
+        if not record:
+            continue
+        fields = record.split(",")
+        if len(fields) != width:
+            return ValueError(f"regression CSV line {line}: expected {width} fields")
+        try:
+            [float(v) for v in fields]
+        except ValueError:
+            return ValueError(f"regression CSV line {line}: non-numeric field")
+    raise AssertionError("every record holds the expected numbers")
+
+
 def regression_data_from_csv(text: str) -> RegressionData:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ValueError("regression CSV is empty") from None
+    """Read an ``x1,...,xn,y`` header, then one observation per line.
+
+    Lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, and blank lines are
+    skipped.  Every field is a bare number as Python ``float`` reads it;
+    there is no quoting, so a quoted field is non-numeric.  All fields are
+    converted in one pass, and only a failure goes back over the records to
+    name a line: first the earliest with a wrong field count or a
+    non-numeric field, then the earliest with a non-finite field.
+    """
+    if not text:
+        raise ValueError("regression CSV is empty")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first, *records = text.split("\n")
+    header = [h.strip() for h in first.split(",")] if first else []
     dim = len(header) - 1
     if dim < 1 or header[-1] != "y" or header[:-1] != [f"x{i + 1}" for i in range(dim)]:
         raise ValueError(
             f"regression CSV header must be 'x1,...,xn,y', got {header!r}"
         )
-    rows, targets, lines = [], [], []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != dim + 1:
-            raise ValueError(
-                f"regression CSV line {line}: expected {dim + 1} fields"
-            )
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise ValueError(f"regression CSV line {line}: non-numeric field") from None
-        rows.append(values[:-1])
-        targets.append(values[-1])
-        lines.append(line)
-    design = np.asarray(rows, dtype=float).reshape(-1, dim)
-    targets = np.asarray(targets, dtype=float)
-    finite = np.isfinite(design).all(axis=1) & np.isfinite(targets)
+    rows = list(filter(None, records))
+    if any(row.count(",") != dim for row in rows):
+        raise _bad_record(records, dim + 1)
+    try:
+        values = np.array(",".join(rows).split(",") if rows else [], dtype=float)
+    except ValueError:
+        raise _bad_record(records, dim + 1) from None
+    values = values.reshape(-1, dim + 1)
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
+        lines = [line for line, record in enumerate(records, start=2) if record]
         line = lines[int(np.argmin(finite))]
         raise ValueError(f"regression CSV line {line}: non-finite field")
-    return RegressionData(design, targets)
+    return RegressionData(values[:, :dim], values[:, dim])

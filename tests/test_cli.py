@@ -284,6 +284,16 @@ def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     assert json.loads(err)["type"] == "RankDeficient"
 
 
+def test_gauss_fit_refuses_a_quoted_field_naming_its_line(capsys, tmp_path):
+    # the regression format has no CSV quoting: a field is a bare number
+    path = tmp_path / "quoted.csv"
+    path.write_text('x1,y\n1.0,2.0\n\n"1.5",3.0\n2.0,4.5\n')
+    code, out, err = run(capsys, "gauss", "fit", str(path), "--sigma", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["message"] == "regression CSV line 4: non-numeric field"
+
+
 @pytest.mark.parametrize("mode", ["seq", "batch"])
 def test_gauss_update_refuses_a_duplicate_column(capsys, tmp_path, mode):
     rng = np.random.default_rng(5)
@@ -365,6 +375,24 @@ def test_out_flag_writes_a_file_instead_of_stdout(capsys, tmp_path, kernel_files
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["rows"][0] == ["3/8", "5/8"]
+
+
+def test_nothing_leaks_from_one_call_into_the_next(capsys, tmp_path):
+    # the parser is built once per process, so every call must start clean
+    assert run_json(capsys, "learn", BUNDLE, CSV, "--argmax")["argmax"] == "m0"
+    assert "argmax" not in run_json(capsys, "learn", BUNDLE, CSV)
+
+    target = tmp_path / "out.json"
+    code, out, _ = run(capsys, "learn", BUNDLE, CSV, "--out", str(target))
+    assert code == 0 and out == ""
+    target.unlink()
+    assert run_json(capsys, "learn", BUNDLE, CSV)["posterior"] == {"m0": "32/59", "m1": "27/59"}
+    assert not target.exists()
+
+    code, out, err = run(capsys, "learn", BUNDLE)
+    assert code == 1 and out == ""
+    assert json.loads(err)["type"] == "usage"
+    assert run(capsys, "learn", BUNDLE, CSV, "--mode", "seq")[0] == 0
 
 
 def test_module_entry_point_propagates_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 """Conjugate Gaussian regression: fits, updates, and predictive moments."""
 
+import math
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from markov_bayes import (
     map_estimate,
     predictive_density,
 )
+from markov_bayes.gauss import _guard
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -224,3 +226,65 @@ def test_every_route_refuses_a_duplicate_column():
         gauss_sequential(data, 0.5, prior)
     with pytest.raises(RankDeficient):
         gauss_batch(data, 0.5, prior)
+
+
+# ---------- Potter's loop against the outer-product reference ----------
+
+
+def _outer_product_sequential(data, sigma, prior):
+    """Potter's update as first written: a fresh ``np.outer`` matrix per row."""
+    var = sigma * sigma
+    mean = prior.mean.copy()
+    root = prior.root.copy()
+    for x, y in zip(data.design, data.targets):
+        f = x @ root
+        gain = root @ f
+        a = 1.0 / (float(f @ f) + var)
+        mean += (a * float(y - x @ mean)) * gain
+        root -= (a / (1.0 + math.sqrt(a * var))) * np.outer(gain, f)
+    _guard(root)
+    return GaussPosterior(mean=mean, cov=root @ root.T)
+
+
+def _outcome(update, data, sigma, prior):
+    try:
+        post = update(data, sigma, prior)
+    except RankDeficient as e:
+        return str(e)
+    return post
+
+
+def _potter_designs():
+    for seed in range(4):
+        yield f"probe-{seed}", near_collinear_probe(seed), 0.5, 1e8 * np.eye(8)
+    rng = random.Random(29)
+    for case in range(40):
+        npr = np.random.default_rng(case)
+        dim = rng.randint(1, 6)
+        data = make_data(rng, rng.randint(1, 60), dim)
+        a = npr.normal(size=(dim, dim))
+        cov = a @ a.T + 10.0 ** rng.randint(-2, 10) * np.eye(dim)
+        if case % 5 == 4:
+            # a duplicated column under a wide prior: every route refuses
+            design = np.column_stack([data.design, data.design[:, -1]])
+            data = RegressionData(design=design, targets=data.targets)
+            cov = 1e12 * np.eye(dim + 1)
+        yield f"random-{case}", data, rng.uniform(0.05, 3.0), cov
+
+
+@pytest.mark.parametrize(
+    "data, sigma, cov",
+    [case[1:] for case in _potter_designs()],
+    ids=[case[0] for case in _potter_designs()],
+)
+def test_sequential_is_bit_identical_to_the_outer_product_loop(data, sigma, cov):
+    dim = data.design.shape[1]
+    prior = GaussPosterior(mean=np.linspace(-1.0, 1.0, dim), cov=cov)
+    got = _outcome(gauss_sequential, data, sigma, prior)
+    want = _outcome(_outer_product_sequential, data, sigma, prior)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.cov, want.cov)

@@ -1,7 +1,11 @@
 """Round trips through the JSON and CSV forms must be bit exact."""
 
+import csv
+import io
 import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,8 +258,151 @@ def test_regression_csv_errors():
         regression_data_from_csv("x1,y\noops,3\n")
     with pytest.raises(ValueError, match="empty"):
         regression_data_from_csv("")
+    # a short row and a long row have the right number of fields between them
+    with pytest.raises(ValueError, match="line 2: expected 3 fields"):
+        regression_data_from_csv("x1,x2,y\n1,2\n3,4,5,6\n")
     for field in ("nan", "inf", "-Infinity"):
         with pytest.raises(ValueError, match="line 4: non-finite"):
             regression_data_from_csv(f"x1,x2,y\n1,2,3\n\n4,{field},6\n7,8,9\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):
             regression_data_from_csv(f"x1,y\n1,2\n3,{field}\n")
+
+
+# ---------- the regression CSV reader against the csv-module reader ----------
+
+
+def _csv_module_reader(text: str) -> RegressionData:
+    """The reader as first written on ``csv.reader``, kept as the reference."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError("regression CSV is empty") from None
+    dim = len(header) - 1
+    if dim < 1 or header[-1] != "y" or header[:-1] != [f"x{i + 1}" for i in range(dim)]:
+        raise ValueError(
+            f"regression CSV header must be 'x1,...,xn,y', got {header!r}"
+        )
+    rows, targets, lines = [], [], []
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != dim + 1:
+            raise ValueError(
+                f"regression CSV line {line}: expected {dim + 1} fields"
+            )
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            raise ValueError(f"regression CSV line {line}: non-numeric field") from None
+        rows.append(values[:-1])
+        targets.append(values[-1])
+        lines.append(line)
+    design = np.asarray(rows, dtype=float).reshape(-1, dim)
+    targets = np.asarray(targets, dtype=float)
+    finite = np.isfinite(design).all(axis=1) & np.isfinite(targets)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise ValueError(f"regression CSV line {line}: non-finite field")
+    return RegressionData(design, targets)
+
+
+def _random_field(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.008:
+        return rng.choice(["nan", "inf", "-Infinity", "NaN", "+inf"])
+    if roll < 0.016:
+        return rng.choice(["oops", "", " ", "1..2", "0x10", "1_", "--1", "1e"])
+    value = rng.uniform(-1e3, 1e3)
+    form = rng.randrange(6)
+    if form == 0:
+        return repr(value)
+    if form == 1:
+        return f"{value:.4e}"
+    if form == 2:
+        return f" {value:.3f} "
+    if form == 3:
+        return f"{rng.randint(1, 9)}_{rng.randint(0, 9)}"
+    if form == 4:
+        return f"{value:.2E}".replace("E+0", "E")
+    return str(rng.randint(-50, 50))
+
+
+def _random_regression_csv(rng: random.Random) -> str:
+    """Header, rows and line ends with the faults the reader must name."""
+    roll = rng.random()
+    if roll < 0.02:
+        return ""
+    dim = rng.randint(1, 4)
+    header = [f"x{i + 1}" for i in range(dim)] + ["y"]
+    if roll < 0.03:
+        header = [""]
+    elif roll < 0.05:
+        header[rng.randrange(dim + 1)] = "z"
+    elif roll < 0.08:
+        header = [f" {h} " for h in header]
+    lines = [",".join(header)]
+    n_rows = 0 if rng.random() < 0.05 else rng.randint(0, 30)
+    fault = rng.random()
+    for _ in range(n_rows):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "", " "]))
+        fields = [_random_field(rng) for _ in range(dim + 1)]
+        lines.append(",".join(fields))
+    if n_rows and fault < 0.3:
+        at = rng.randrange(1, len(lines))
+        kind = rng.randrange(3)
+        short = ",".join(_random_field(rng) for _ in range(dim))
+        long = ",".join(_random_field(rng) for _ in range(dim + 2))
+        if kind == 0:
+            lines.insert(at, short)
+        elif kind == 1:
+            lines.insert(at, long)
+        else:
+            # a short row then a long one: the total field count is right
+            lines[at:at] = [short, long]
+    ends = [rng.choice(["\n", "\n", "\r\n", "\r"]) for _ in lines]
+    if rng.random() < 0.5:
+        ends = ["\n"] * len(lines)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if rng.random() < 0.2:
+        text = text[: -len(ends[-1])]
+    return text
+
+
+def _read_outcome(reader, text):
+    try:
+        data = reader(text)
+    except ValueError as e:
+        return type(e), str(e)
+    return data.design, data.targets
+
+
+def _same_outcome(a, b) -> bool:
+    """The same error type and message, or bit-equal design and targets."""
+    errors = isinstance(a[0], type), isinstance(b[0], type)
+    if any(errors):
+        return all(errors) and a == b
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_regression_csv_reader_matches_the_csv_module_reader():
+    kinds = Counter()
+    for seed in range(400):
+        text = _random_regression_csv(random.Random(seed))
+        got = _read_outcome(regression_data_from_csv, text)
+        # A file read in text mode ends lines at "\n", "\r\n" and a lone
+        # "\r".  On a string that keeps a lone "\r", csv either stops with
+        # csv.Error or reads "\r\r\n" as one line end, so the reference
+        # reads what the file read would give.
+        want = _read_outcome(
+            _csv_module_reader, io.StringIO(text, newline=None).getvalue()
+        )
+        if not re.search("\r(?!\n)", text):
+            assert _same_outcome(_read_outcome(_csv_module_reader, text), want)
+        assert _same_outcome(got, want), (text, got, want)
+        kinds[want[1].split(": ")[-1] if isinstance(want[0], type) else "parsed"] += 1
+    for kind in ("parsed", "non-finite field", "non-numeric field",
+                 "need at least one observation", "regression CSV is empty"):
+        assert kinds[kind] >= 5, kinds
+    assert sum(v for k, v in kinds.items() if k.startswith("expected")) >= 20, kinds
