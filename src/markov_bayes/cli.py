@@ -148,8 +148,10 @@ def cmd_invert(args) -> int:
 
 
 def _argmax_label(st) -> str:
-    probs = st.probs
-    best = max(range(len(probs)), key=probs.__getitem__)
+    """The first most probable label, read off the numerators over the row's
+    one denominator."""
+    num = st._num[0]
+    best = max(range(len(num)), key=num.__getitem__)
     return st.target.elements[best]
 
 

@@ -16,6 +16,14 @@ lowest-terms stochastic rows is already in lowest terms.  The public
 ``rows``, ``probs``, ``entry`` and ``dist`` read a :class:`fractions.Fraction`
 view that is built on first read and cached.
 
+Rationals are read and written as ``"p/q"`` text without that view.
+:func:`format_row` renders a row from the cached ``_terms`` view, each entry
+as its own lowest-terms integer pair, converting each distinct denominator
+once; :func:`parse_row` reads each entry straight to an integer pair.
+Integers past 2048 bits or 600 digits convert divide-and-conquer, so
+neither direction is quadratic in the length of the number, and the
+interpreter's int-to-string digit limit is never reached or changed.
+
 Deterministic kernels (``identity``, ``copy``, ``discard``, ``delta``, ``swap``
 and the other structural channels) also carry a private index map, the
 target index of each source point.  Composing with one is a gather of rows
@@ -25,12 +33,14 @@ are exactly the ones that commute with copy (Fritz 2020, arXiv:1908.07021),
 which is what licenses applying them as functions.
 
 Checking happens once, at the public constructors: :class:`Kernel` and
-:func:`state` validate types, shapes and exact row sums.  Operations on
-validated kernels (composition, products, the structural channels, and the
-inversion and conditioning of :mod:`markov_bayes.conditioning`) build their
-results through the private, unchecked :func:`_trusted`, because stochastic
-kernels are closed under them by theorem; ``tests/test_closure.py`` checks
-that every such result equals the checked construction of the same rows.
+:func:`state` validate types, shapes and exact row sums, in the one loop
+that the readers of :mod:`markov_bayes.serialize` also run on parsed
+integer pairs.  Operations on validated kernels (composition, products, the
+structural channels, and the inversion and conditioning of
+:mod:`markov_bayes.conditioning`) build their results through the private,
+unchecked :func:`_trusted`, because stochastic kernels are closed under them
+by theorem; ``tests/test_closure.py`` checks that every such result equals
+the checked construction of the same rows.
 
 Product spaces keep a record of their two factors.  That record is a
 construction artifact: space equality looks only at the name and the labels,
@@ -43,7 +53,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
-from decimal import Decimal
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    localcontext,
+)
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -54,35 +72,166 @@ from .errors import SpaceMismatch, UnknownLabel
 PAIR_SEP = "⊗"  # the product separator used in labels and space names
 
 
+#: Integers of at most this many bits have at most 617 decimal digits, and
+#: strings of at most this many digits convert directly: both stay under
+#: 640, the lowest int-to-string digit limit an interpreter can be set to.
+#: Where ``str`` and ``int`` are allowed they were measured as fast as the
+#: divide-and-conquer routes or faster, which gain only past about 20k bits.
+_DIRECT_BITS = 2048
+_DIRECT_DIGITS = 600
+
+#: Decimal arithmetic that is exact on integers or raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+_TWO = Decimal(2)
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` at any length.
+
+    Past ``_DIRECT_BITS`` the integer is split into ``hi * 2**k + lo`` at
+    half its bits, both halves are converted recursively to
+    :class:`Decimal`, and they are recombined in exact decimal arithmetic,
+    which multiplies large operands in subquadratic time where ``str`` is
+    quadratic.  Each ``2**k`` is computed once per call.
+    """
+    bits = n.bit_length()
+    if bits <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    powers = {}
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _DIRECT_BITS:
+            return Decimal(n)
+        k = bits >> 1
+        hi = n >> k
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = _TWO**k
+        return convert(hi, bits - k) * power + convert(n - (hi << k), k)
+
+    with localcontext(_EXACT):
+        return str(convert(n, bits))
+
+
+def _digits_int(text: str) -> int:
+    """``int(text)`` at any length, for a signed decimal integer with ``_``
+    separators.
+
+    Past ``_DIRECT_DIGITS`` characters the digits are split in two, both
+    halves are converted recursively, and they are recombined as
+    ``hi * 10**k + lo``, with ``10**k`` taken as ``5**k`` shifted by ``k``
+    bits.  Each ``5**k`` is computed once per call.
+    """
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    digits = text.lstrip("+-").replace("_", "")
+    powers = {}
+
+    def convert(start: int, stop: int) -> int:
+        if stop - start <= _DIRECT_DIGITS:
+            return int(digits[start:stop])
+        mid = (start + stop + 1) >> 1
+        k = stop - mid
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = 5**k
+        return ((convert(start, mid) * power) << k) + convert(mid, stop)
+
+    value = convert(0, len(digits))
+    return -value if text[0] == "-" else value
+
+
+def _rat_text(num: int, den: int) -> str:
+    """``num/den`` in lowest terms as :class:`Fraction` prints it, at any length."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
+
+
 #: ``p/q`` or a bare integer, in digits as :class:`Fraction` reads them
 _RATIONAL = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+
+#: A decimal's exponent may be at most this many times the length of its
+#: text, so the integers it spells grow linearly with the input.
+_EXPONENT_PER_CHAR = 100
+
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    """The integer pair ``(p, q)``, with ``q > 0`` and not necessarily in
+    lowest terms, of a rational spelled as :func:`parse_rat` reads it."""
+    try:
+        body = text.strip()
+    except AttributeError:
+        raise ValueError(f"not a rational: {text!r}") from None
+    match = _RATIONAL.fullmatch(body)
+    if match is not None:
+        num, den = match.groups()
+        q = _digits_int(den) if den else 1
+        if not q:
+            raise ValueError(f"not a rational: {text!r}")
+        return _digits_int(num), q
+    try:
+        value = Decimal(body)
+    except (ArithmeticError, ValueError):
+        value = None
+    if value is None or not value.is_finite():
+        raise ValueError(f"not a rational: {text!r}")
+    negative, digits, exponent = value.as_tuple()
+    limit = _EXPONENT_PER_CHAR * len(body)
+    if abs(exponent) > limit:
+        raise ValueError(
+            f"rational {text!r} has exponent {exponent}, beyond the bound of "
+            f"{limit} for its length"
+        )
+    p = _digits_int("-" * negative + "".join(map(str, digits)))
+    return (p * 10**exponent, 1) if exponent >= 0 else (p, 10**-exponent)
+
+
+def parse_row(texts) -> tuple[tuple[int, int], ...]:
+    """Parse a row of rationals, each spelled as :func:`parse_rat` reads it,
+    to integer pairs ``(p, q)`` with ``q > 0``, not necessarily in lowest
+    terms."""
+    return tuple([_parse_pair(text) for text in texts])
 
 
 def parse_rat(text: str) -> Fraction:
     """Parse a rational written as ``"p/q"``, a bare integer or a decimal.
 
-    Digits are read through :class:`decimal.Decimal`, which the interpreter's
-    int-to-string digit limit does not cover, so integers of any length
-    parse and the limit itself is left alone.
+    ``p/q`` and bare integers are read digit for digit, ``_`` separators
+    included; anything else must be a finite :class:`decimal.Decimal`
+    spelling whose exponent is at most 100 times the length of the text.
+    Digits of any length parse, and the interpreter's int-to-string digit
+    limit is left alone.  This is the integer pair :func:`parse_row` gives
+    the entry, as a :class:`Fraction`.
     """
-    body = text.strip()
-    match = _RATIONAL.fullmatch(body)
-    try:
-        if match is None:
-            return Fraction(Decimal(body))
-        num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
-    except (ArithmeticError, ValueError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    return Fraction(*_parse_pair(text))
 
 
 def format_rat(q: Fraction) -> str:
     """Render a rational as ``"p/q"``, always with an explicit denominator.
 
-    Like :func:`parse_rat`, this goes through :class:`decimal.Decimal`, so
-    numerators and denominators of any length print.
+    Numerators and denominators of any length print; past 2048 bits they
+    are converted divide-and-conquer through :class:`decimal.Decimal`.
     """
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def format_row(terms) -> list[str]:
+    """Render a row of lowest-terms ``(p, q)`` pairs as ``"p/q"`` strings.
+
+    This is :func:`format_rat` on every entry, with each distinct
+    denominator converted once.  ``Kernel._terms`` gives the pairs.
+    """
+    dens = {}
+    out = []
+    for p, q in terms:
+        den = dens.get(q)
+        if den is None:
+            den = dens[q] = _int_text(q)
+        out.append(f"{_int_text(p)}/{den}")
+    return out
 
 
 def pair_label(a: str, b: str) -> str:
@@ -182,6 +331,42 @@ def _coerce_entry(e) -> Fraction:
     return Fraction(e)
 
 
+def _checked_rows(source: FinSpace, target: FinSpace, rows):
+    """The lowest-terms integer rows ``(num, den)`` of rows of ``(p, q)`` pairs.
+
+    Every ``q`` must be positive; the pairs need not be in lowest terms.
+    Checks the shape, that no entry is negative and that every row sums to
+    one exactly.  Over the lcm of a row's denominators the entries are
+    integers, and dividing them and the lcm by their gcd puts the row in
+    lowest terms.
+    """
+    if len(rows) != len(source):
+        raise ValueError(
+            f"kernel has {len(rows)} rows but source "
+            f"{source.name!r} has {len(source)} elements"
+        )
+    width = len(target)
+    num, den = [], []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(
+                f"row {i} has {len(row)} entries but target "
+                f"{target.name!r} has {width} elements"
+            )
+        d = lcm(*[q for _, q in row])
+        ints = [p * (d // q) for p, q in row]
+        if min(ints) < 0:
+            p, q = next(e for e in row if e[0] < 0)
+            raise ValueError(f"negative entry {_rat_text(p, q)} in row {i}")
+        total = sum(ints)
+        if total != d:
+            raise ValueError(f"row {i} sums to {_rat_text(total, d)}, not 1")
+        c = gcd(*ints)
+        num.append(tuple(ints) if c == 1 else tuple([a // c for a in ints]))
+        den.append(d // c)
+    return tuple(num), tuple(den)
+
+
 class Kernel:
     """A row-stochastic table of rationals from ``source`` to ``target``.
 
@@ -192,9 +377,10 @@ class Kernel:
     Internally row ``i`` is the numerators ``_num[i]`` over the denominator
     ``_den[i]``, in lowest terms; ``rows`` is the :class:`Fraction` view of
     them, which the constructor keeps when it is handed ``Fraction`` rows
-    and builds on first read otherwise.  A deterministic kernel may also
-    carry ``_map``, the target index of each source point; a kernel without
-    one is handled by the general routes, whatever its entries.
+    and builds on first read otherwise, and ``_terms`` gives each entry as
+    its own lowest-terms pair.  A deterministic kernel may also carry
+    ``_map``, the target index of each source point; a kernel without one
+    is handled by the general routes, whatever its entries.
     Operations on kernels build their results with :func:`_trusted`, which
     skips the checks because the result is stochastic by theorem.
     """
@@ -208,38 +394,13 @@ class Kernel:
             )
         ):
             rows = tuple(tuple(_coerce_entry(e) for e in row) for row in rows)
-        if len(rows) != len(source):
-            raise ValueError(
-                f"kernel has {len(rows)} rows but source "
-                f"{source.name!r} has {len(source)} elements"
-            )
-        width = len(target)
-        num, den = [], []
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"row {i} has {len(row)} entries but target "
-                    f"{target.name!r} has {width} elements"
-                )
-            # over the lcm of the entries' lowest-terms denominators the
-            # numerators have gcd 1 with it, so the row is in lowest terms
-            d = lcm(*(e.denominator for e in row))
-            ints = tuple(e.numerator * (d // e.denominator) for e in row)
-            if min(ints) < 0:
-                bad = next(e for e in row if e.numerator < 0)
-                raise ValueError(f"negative entry {bad} in row {i}")
-            total = sum(ints)
-            if total != d:
-                raise ValueError(f"row {i} sums to {Fraction(total, d)}, not 1")
-            num.append(ints)
-            den.append(d)
+        num, den = _checked_rows(
+            source,
+            target,
+            [[(e.numerator, e.denominator) for e in row] for row in rows],
+        )
         self.__dict__.update(
-            source=source,
-            target=target,
-            rows=rows,
-            _num=tuple(num),
-            _den=tuple(den),
-            _map=None,
+            source=source, target=target, rows=rows, _num=num, _den=den, _map=None
         )
 
     def __setattr__(self, name, value):
@@ -279,6 +440,18 @@ class Kernel:
         return (1,) * len(self._map)
 
     @cached_property
+    def _terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each entry as its own lowest-terms ``(p, q)`` pair, row by row."""
+        terms = []
+        for num, d in zip(self._num, self._den):
+            row = []
+            for p in num:
+                g = gcd(p, d)
+                row.append((p, d) if g == 1 else (p // g, d // g))
+            terms.append(tuple(row))
+        return tuple(terms)
+
+    @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as :class:`Fraction` entries."""
         return tuple(
@@ -308,16 +481,24 @@ class Kernel:
 State = Kernel
 
 
-def _trusted(source: FinSpace, target: FinSpace, num, den) -> Kernel:
+def _trusted(source: FinSpace, target: FinSpace, num, den, terms=None) -> Kernel:
     """A kernel built without the checks of :class:`Kernel`.
 
     Only for results of operations on validated kernels: ``num`` must be a
     tuple of lowest-terms integer rows of the right shape, each summing to
-    its entry of ``den``.
+    its entry of ``den``.  ``terms``, when the caller knows it, is the
+    ``_terms`` view of those rows.
     """
     k = object.__new__(Kernel)
     k.__dict__.update(source=source, target=target, _num=num, _den=den, _map=None)
+    if terms is not None:
+        k.__dict__["_terms"] = terms
     return k
+
+
+def _from_pairs(source: FinSpace, target: FinSpace, rows) -> Kernel:
+    """The checked kernel of rows of ``(p, q)`` integer pairs with ``q > 0``."""
+    return _trusted(source, target, *_checked_rows(source, target, rows))
 
 
 def _deterministic(source: FinSpace, target: FinSpace, imap: tuple[int, ...]) -> Kernel:

@@ -246,6 +246,13 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     is reduced on its own; over the lcm of those denominators the weights'
     common factor is then the gcd of their numerators, so no gcd is taken
     of two weights over the common denominator.
+
+    The result also carries each entry in lowest terms.  A weight is a
+    product of small primes and a rough part with no prime below 50, so its
+    gcd with the total is the small primes to at most their exponent in
+    the total, found by dividing by each prime, times the gcd of the rough
+    part with the total, which is 1 without a big gcd whenever the rough
+    part is 1, as it is for every channel of small rationals.
     """
     counts = Counter(_observation_indices(model, data))
     nx, ny = len(model.input_space), len(model.output_space)
@@ -293,10 +300,33 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     # a prime of every reduced top divides no bottom, so none of the scale
     common = gcd(*tops)
     weights = [0] * len(prior)
+    shifts, roughs = [], []
     for m, e, top, bottom in zip(live, exponents, tops, bottoms):
-        smooth = prod(q ** (x - low) for q, x, low in zip(_SMALL_PRIMES, e, least))
-        weights[m] = smooth * (top // common) * (scale // bottom)
-    return _trusted(UNIT, model.params, (tuple(weights),), (sum(weights),))
+        shift = [x - low for x, low in zip(e, least)]
+        rough = (top // common) * (scale // bottom)
+        weights[m] = prod(q**s for q, s in zip(_SMALL_PRIMES, shift)) * rough
+        shifts.append(shift)
+        roughs.append(rough)
+    total = sum(weights)
+    # each weight's gcd with the total: its small primes to at most their
+    # exponent in the total, times the gcd of its rough part with the total
+    valuation = []
+    for q, cap in zip(_SMALL_PRIMES, map(max, zip(*shifts))):
+        v, rest = 0, total
+        while v < cap and rest % q == 0:
+            rest //= q
+            v += 1
+        valuation.append(v)
+    terms = [(0, 1)] * len(prior)
+    for m, shift, rough in zip(live, shifts, roughs):
+        g = prod(q ** min(s, v) for q, s, v in zip(_SMALL_PRIMES, shift, valuation) if v)
+        if rough != 1:
+            g *= gcd(rough, total)
+        w = weights[m]
+        terms[m] = (w, total) if g == 1 else (w // g, total // g)
+    return _trusted(
+        UNIT, model.params, (tuple(weights),), (total,), terms=(tuple(terms),)
+    )
 
 
 def batch_update(model: Model, data: TrainingSet) -> State:

@@ -29,6 +29,7 @@ from .finstoch import (
     associator,
     associator_inv,
     compose,
+    format_row,
     identity,
     left_unitor,
     left_unitor_inv,
@@ -61,6 +62,11 @@ class PSObject:
 PS_UNIT = PSObject(UNIT, identity(UNIT))
 
 
+def _state_text(st: State) -> str:
+    """A state's probabilities as ``"(p/q, ...)"``, at any length."""
+    return f"({', '.join(format_row(st._terms[0]))})"
+
+
 @dataclass(frozen=True)
 class PSMorphism:
     """A state-preserving kernel in canonical almost-sure normal form.
@@ -83,8 +89,8 @@ class PSMorphism:
         push = compose(self.src.state, self.rep)
         if push != self.dst.state:
             raise NotStatePreserving(
-                f"kernel pushes the source state to {push.probs} instead of "
-                f"{self.dst.state.probs}",
+                f"kernel pushes the source state to {_state_text(push)} instead "
+                f"of {_state_text(self.dst.state)}",
                 pushforward=push,
             )
         object.__setattr__(self, "rep", canonicalize(self.rep, self.src.state))

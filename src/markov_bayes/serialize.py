@@ -1,7 +1,10 @@
 """JSON and CSV forms for every value the package reads or writes.
 
 Rationals always travel as ``"p/q"`` strings so that a written value parses
-back to the identical fraction.  Spaces serialize with their factor record
+back to the identical fraction.  Writers render a kernel's integer rows
+through :func:`~markov_bayes.finstoch.format_row`, and readers parse each
+entry straight to an integer pair, so no :class:`~fractions.Fraction` is
+built on either side.  Spaces serialize with their factor record
 when they have one, which keeps joint-state structure across a round trip.
 """
 
@@ -13,13 +16,14 @@ import io
 import numpy as np
 
 from .finstoch import (
+    UNIT,
     FinSpace,
     Kernel,
     State,
-    format_rat,
-    parse_rat,
+    _from_pairs,
+    format_row,
+    parse_row,
     product,
-    state,
 )
 from .gauss import GaussPosterior, RegressionData
 from .learning import Model, PosteriorTrace, TrainingSet
@@ -31,6 +35,11 @@ def _expect(doc: dict, key: str, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where}: missing field {key!r}")
     return doc[key]
+
+
+def _parse_rows(rows) -> tuple:
+    """Every entry of ``rows`` as an integer pair, all parsed before any check."""
+    return tuple([parse_row(row) for row in rows])
 
 
 def space_to_json(s: FinSpace) -> dict:
@@ -61,7 +70,7 @@ def kernel_to_json(k: Kernel) -> dict:
     return {
         "source": space_to_json(k.source),
         "target": space_to_json(k.target),
-        "rows": [[format_rat(e) for e in row] for row in k.rows],
+        "rows": [format_row(terms) for terms in k._terms],
     }
 
 
@@ -69,16 +78,14 @@ def kernel_from_json(doc: dict) -> Kernel:
     src = space_from_json(_expect(doc, "source", "kernel"))
     tgt = space_from_json(_expect(doc, "target", "kernel"))
     rows = _expect(doc, "rows", "kernel")
-    return Kernel(
-        src, tgt, tuple(tuple(parse_rat(e) for e in row) for row in rows)
-    )
+    return _from_pairs(src, tgt, _parse_rows(rows))
 
 
 def state_to_map(st: State) -> dict:
     """A state as a label-to-rational mapping, in space order."""
-    return {
-        label: format_rat(p) for label, p in zip(st.target.elements, st.probs)
-    }
+    if len(st.source) != 1:
+        raise ValueError(f"{st!r} is not a state")
+    return dict(zip(st.target.elements, format_row(st._terms[0])))
 
 
 def state_from_map(space: FinSpace, mapping: dict) -> State:
@@ -87,7 +94,8 @@ def state_from_map(space: FinSpace, mapping: dict) -> State:
             f"state labels {sorted(mapping)} do not match space "
             f"{space.name!r} labels"
         )
-    return state(space, (parse_rat(mapping[label]) for label in space.elements))
+    row = parse_row([mapping[label] for label in space.elements])
+    return _from_pairs(UNIT, space, (row,))
 
 
 def ps_object_to_json(obj: PSObject) -> dict:
@@ -161,7 +169,7 @@ def model_to_json(m: Model) -> dict:
         "input": space_to_json(m.input_space),
         "input_state": state_to_map(m.input_state),
         "output": space_to_json(m.output_space),
-        "channel": [[format_rat(e) for e in row] for row in m.channel.rows],
+        "channel": [format_row(terms) for terms in m.channel._terms],
     }
 
 
@@ -170,10 +178,8 @@ def model_from_json(doc: dict) -> Model:
     input_space = space_from_json(_expect(doc, "input", "model"))
     output_space = space_from_json(_expect(doc, "output", "model"))
     rows = _expect(doc, "channel", "model")
-    channel = Kernel(
-        product(params, input_space),
-        output_space,
-        tuple(tuple(parse_rat(e) for e in row) for row in rows),
+    channel = _from_pairs(
+        product(params, input_space), output_space, _parse_rows(rows)
     )
     return Model(
         params=params,
@@ -195,15 +201,26 @@ def training_set_to_csv(data: TrainingSet) -> str:
 
 
 def training_set_from_csv(text: str) -> TrainingSet:
+    """Read an ``x,y`` header, then one observed pair per line.
+
+    Lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, as a file read in
+    text mode does, and blank lines are skipped.  Anything else the ``csv``
+    module refuses is a :class:`ValueError` naming the line.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("training CSV is empty, expected an 'x,y' header") from None
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"training CSV line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("training CSV is empty, expected an 'x,y' header")
+    header, *records = rows
     if [h.strip() for h in header] != ["x", "y"]:
         raise ValueError(f"training CSV header must be 'x,y', got {header!r}")
     pairs = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -221,7 +238,7 @@ def trace_to_tsv(trace: PosteriorTrace) -> str:
     space = trace.states[0].target
     lines = ["\t".join(["step", *space.elements])]
     for i, st in enumerate(trace.states):
-        lines.append("\t".join([str(i), *(format_rat(p) for p in st.probs)]))
+        lines.append("\t".join([str(i), *format_row(st._terms[0])]))
     return "\n".join(lines) + "\n"
 
 

@@ -9,11 +9,14 @@ zero entries common so that dead rows and zero-mass outputs occur.
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 from markov_bayes import (
     FinSpace,
     Kernel,
+    Model,
     PSMorphism,
+    TrainingSet,
     associator,
     associator_inv,
     batch_update_factorized,
@@ -38,6 +41,7 @@ from markov_bayes import (
     right_unitor,
     right_unitor_inv,
     sequential_update,
+    state,
     state_tensor,
     swap,
     tensor,
@@ -126,6 +130,12 @@ def test_inversion_and_conditioning_are_closed():
     assert dead_outputs > 0  # the uniform fill was exercised
 
 
+def _reduced(st) -> tuple:
+    """The lowest-terms pair of every entry of a state, one ``gcd`` each."""
+    (num,), (d,) = st._num, st._den
+    return (tuple((n // gcd(n, d), d // gcd(n, d)) for n in num),)
+
+
 def test_learning_results_are_closed():
     steps = 0
     for seed in SEEDS:
@@ -136,8 +146,65 @@ def test_learning_results_are_closed():
         for st in sequential_update(model, data).states:
             assert_closed(st)
             steps += 1
-        assert_closed(batch_update_factorized(model, data))
+        post = batch_update_factorized(model, data)
+        assert_closed(post)
+        assert post._terms == _reduced(post)
     assert steps > len(SEEDS)
+
+
+#: Weights whose ratios mix small primes with the primes 53 and 59, which
+#: the batch update does not track as exponents.
+_WEIGHTS = (1, 2, 3, 4, 6, 53, 59, 106, 118, 159, 177)
+
+
+def _rough_model(rng: random.Random) -> Model:
+    def weights(k):
+        return [rng.choice(_WEIGHTS) for _ in range(k)]
+
+    def row(k):
+        w = weights(k)
+        return tuple(Fraction(v, sum(w)) for v in w)
+
+    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(2, 5))))
+    x = FinSpace("X", tuple(f"x{i}" for i in range(rng.randint(1, 2))))
+    y = FinSpace("Y", tuple(f"y{i}" for i in range(rng.randint(2, 3))))
+    channel = Kernel(product(m, x), y, tuple(row(len(y)) for _ in range(len(m) * len(x))))
+    return Model(m, state(m, row(len(m))), x, state(x, row(len(x))), y, channel)
+
+
+def test_batch_update_supplies_each_entrys_lowest_terms():
+    """The per-entry view the batch update fills in is the one ``math.gcd``
+    gives, including entries whose gcd with the total has small primes and
+    entries whose gcd has a prime the update does not track."""
+    small_gcds = rough_gcds = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        model = _rough_model(rng)
+        pairs = [
+            (rng.choice(model.input_space.elements), rng.choice(model.output_space.elements))
+            for _ in range(rng.randint(1, 8))
+        ]
+        post = batch_update_factorized(model, TrainingSet(tuple(pairs)))
+        assert "_terms" in vars(post)
+        assert post._terms == _reduced(post)
+        assert_closed(post)
+        total = post._den[0]
+        for w in post._num[0]:
+            g = gcd(w, total)
+            smooth = prod(_factor_small(g))
+            small_gcds += smooth > 1
+            rough_gcds += g // smooth > 1
+    assert small_gcds > 0 and rough_gcds > 0, (small_gcds, rough_gcds)
+
+
+def _factor_small(n: int) -> list[int]:
+    """The prime factors of ``n`` below 50, with multiplicity."""
+    out = []
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        while n % q == 0:
+            n //= q
+            out.append(q)
+    return out
 
 
 def test_ps_operations_preserve_states_in_normal_form():
