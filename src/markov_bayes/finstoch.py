@@ -441,13 +441,33 @@ class Kernel:
 
     @cached_property
     def _terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each entry as its own lowest-terms ``(p, q)`` pair, row by row."""
+        """Each entry as its own lowest-terms ``(p, q)`` pair, row by row.
+
+        One gcd per row finds them.  With ``r`` the product of the row's
+        nonzero numerators modulo its denominator ``d`` and ``G = gcd(d, r)``,
+        every entry has ``gcd(p, d) = gcd(p, G)``: ``gcd(p, d)`` divides
+        ``d`` and the product, so it divides ``G``, and ``G`` divides ``d``.
+        When ``G`` is 1, as it mostly is, no entry needs a gcd of its own.
+        A row with at most two nonzero entries needs none at all: with
+        ``p + p' = d``, ``gcd(p, d) = gcd(p, p')``, the gcd of the row's
+        numerators, which is 1.  A zero entry is ``(0, 1)``.
+        """
         terms = []
         for num, d in zip(self._num, self._den):
+            support = [p for p in num if p]
+            g = 1
+            if len(support) > 2:
+                r = 1
+                for p in support:
+                    r = r * p % d
+                g = gcd(d, r)
+            if g == 1:
+                terms.append(tuple([(p, d) if p else (0, 1) for p in num]))
+                continue
             row = []
             for p in num:
-                g = gcd(p, d)
-                row.append((p, d) if g == 1 else (p // g, d // g))
+                c = gcd(p, g) if p else d
+                row.append((p, d) if c == 1 else (p // c, d // c))
             terms.append(tuple(row))
         return tuple(terms)
 

@@ -10,10 +10,15 @@ Updates come in two flavours that provably agree: a sequential pass that
 inverts once per observation, conditioning each time on the previous
 posterior, and a batch pass that conditions on the whole observation tuple
 at once.  Both read each observed pair as one column of the joint channel,
-indexed once up front.  The batch pass runs as the per-parameter likelihood
-product that the replicated observation channel factors into, one power
-per distinct column; the literal replicated-channel construction stays here
-only as the oracle the law suites compare it against.
+indexed once up front.  A sequential step conditions on the event "this
+column or any other": it inverts the two-outcome channel that coarsens the
+joint channel to that event, whose row at the observed outcome is the
+joint channel's inverse at the observed column (cf. Cho and Jacobs,
+arXiv:1709.00322, on conditioning as Bayesian inversion).  The batch pass
+runs as the per-parameter likelihood product that the replicated
+observation channel factors into, one power per distinct column; the
+literal replicated-channel construction stays here only as the oracle the
+law suites compare it against.
 """
 
 from __future__ import annotations
@@ -148,25 +153,55 @@ def _observation_indices(model: Model, data: TrainingSet) -> list[int]:
     ]
 
 
+#: The outcomes of one sequential step: the observed pair, or any other.
+_EVENT = FinSpace("event", ("observed", "other"))
+
+
+def _event_channel(fj: Kernel, j: int) -> Kernel:
+    """The channel from parameters to the event space for joint column ``j``.
+
+    Row ``m`` is ``(fj[m][j], 1 - fj[m][j])``: ``fj`` followed by the
+    deterministic map sending column ``j`` to ``observed`` and every other
+    column to ``other``.
+    """
+    num, den = [], []
+    for row, d in zip(fj._num, fj._den):
+        p = row[j]
+        c = gcd(p, d)
+        num.append((p // c, (d - p) // c))
+        den.append(d // c)
+    return _trusted(fj.source, _EVENT, tuple(num), tuple(den))
+
+
 def sequential_update(model: Model, data: TrainingSet) -> PosteriorTrace:
     """Condition on the observations one at a time, in order.
 
-    Each step inverts the joint observation channel once against the
-    current parameter state and reads off the row at the observed pair's
-    column.  Every label is checked before the first step.  Raises
+    Each step inverts, against the current parameter state, the channel
+    from parameters to the event "the observed pair or any other", and
+    reads off its row at the observed outcome.  That channel is the joint
+    observation channel followed by a deterministic coarsening, and a
+    Bayesian inverse's row at an outcome of positive mass depends only on
+    that outcome's column, so the row equals the joint channel's inverse at
+    the observed column, exactly: ``prior(m) * fj[m][j]`` over its sum.
+    Each event channel is built once per distinct column.  Every label is
+    checked before the first step.  Raises
     :class:`ZeroLikelihoodObservation` at the first observation whose
     column is zero on the support of the current state, since no posterior
     is determined there.
     """
     fj = joint_channel(model)
+    events = {}
     states = [model.prior]
     for step, j in enumerate(_observation_indices(model, data)):
         current = states[-1]
         if not any(p and row[j] for p, row in zip(current._num[0], fj._num)):
             raise ZeroLikelihoodObservation(step, fj.target.elements[j])
-        inverse = invert(fj, current)
+        event = events.get(j)
+        if event is None:
+            event = events[j] = _event_channel(fj, j)
+        inverse = invert(event, current)
         states.append(
-            _trusted(UNIT, model.params, (inverse._num[j],), (inverse._den[j],))
+            _trusted(UNIT, model.params, (inverse._num[0],), (inverse._den[0],))
         )
     return PosteriorTrace(tuple(states))
 

@@ -1,7 +1,9 @@
 """The command-line surface: frozen outputs, exit codes, error JSON."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +101,29 @@ def test_learn_seq_includes_the_trace(capsys):
         {"m0": "8/11", "m1": "3/11"},
         {"m0": "32/59", "m1": "27/59"},
     ]
+
+
+#: sha256 of the stdout of ``learn --mode seq`` on the two-point bundle and
+#: the 200 observations of ``_seeded_csv``, as rendered before the
+#: sequential step inverted the two-outcome event channel.
+SEQ_GOLDEN_SHA256 = "c75442b5714c7bdd873ff6aeac865e9eb6f6b28b47b6b6e3c83157a5b024cf09"
+
+
+def _seeded_csv(path: Path, n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    path.write_text(
+        "x,y\n" + "".join(f"x0,{rng.choice(('y0', 'y1'))}\n" for _ in range(n)),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_learn_seq_output_is_byte_for_byte_pinned(capsys, tmp_path):
+    csv = _seeded_csv(tmp_path / "seeded.csv", 200, 200)
+    code, out, err = run(capsys, "learn", BUNDLE, csv, "--mode", "seq")
+    assert code == 0, err
+    assert len(json.loads(out)["trace"]) == 201
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_GOLDEN_SHA256
 
 
 def test_learn_trace_tsv(capsys, tmp_path):

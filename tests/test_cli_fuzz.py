@@ -1,0 +1,241 @@
+"""Hostile input to the command line: every malformed bundle, training CSV,
+posterior or kernel file gets a documented exit code, one JSON error object
+on stderr and no traceback, in bounded time.
+
+Each case starts from a valid document and breaks it in one or two ways:
+a value of the wrong JSON type, a missing key, a duplicate or unknown
+label, a point mass where mass was spread, a negative entry, a huge
+exponent, a stray ``\\r``, a truncated or empty file, or nesting past what
+the JSON reader can follow.  Training CSVs get wrong headers, unknown
+labels, stray ``\\r``, NUL bytes and quotes.  ``cli.main`` runs in-process,
+and the number of examples keeps the whole module to a few seconds.
+"""
+
+import io
+import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from markov_bayes.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
+BUNDLE = json.loads((DATA_DIR / "two_point_bundle.json").read_text(encoding="utf-8"))
+POSTERIOR = {"posterior": {"m0": "32/59", "m1": "27/59"}}
+KERNEL = {
+    "source": {"name": "X", "elements": ["x0", "x1"]},
+    "target": {"name": "Y", "elements": ["y0", "y1"]},
+    "rows": [["3/4", "1/4"], ["1/2", "1/2"]],
+}
+PRIOR = {
+    "source": {"name": "I", "elements": ["*"]},
+    "target": {"name": "X", "elements": ["x0", "x1"]},
+    "rows": [["1/2", "1/2"]],
+}
+CSV = "x,y\nx0,y0\nx0,y1\n"
+
+#: Wall-time bound for one case, far above what any case needs.
+CASE_SECONDS = 5.0
+
+EXITS = {0, 1, 2}
+
+#: Entries that are not valid probabilities, or that spell numbers whose
+#: size the reader must bound.
+HOSTILE_ENTRIES = (
+    "-1/2", "3/2", "1/0", "0/0", "1e-99999999", "1e999999999", "9e-600",
+    "nan", "inf", "-0", "1/2\r", "\r", "", " ", "1_/2", "0x1", "½",
+    "1" * 700 + "/" + "1" * 700,
+)
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(HOSTILE_ENTRIES),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every path into a nested dict/list document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _mutate(data, doc):
+    """``doc`` with one hostile change, drawn from ``data``."""
+    doc = json.loads(json.dumps(doc))
+    kind = data.draw(
+        st.sampled_from(("replace", "delete", "duplicate", "rename", "point", "entry", "cr"))
+    )
+    paths = list(_paths(doc))
+    if kind == "replace":
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(json_values)
+        if not path:
+            return value
+        _at(doc, path[:-1])[path[-1]] = value
+    elif kind == "delete":
+        path = data.draw(st.sampled_from([p for p in paths if p] or [()]))
+        if path:
+            del _at(doc, path[:-1])[path[-1]]
+    elif kind == "duplicate":
+        lists = [p for p in paths if isinstance(_at(doc, p), list) and _at(doc, p)]
+        if lists:
+            target = _at(doc, data.draw(st.sampled_from(lists)))
+            target.append(target[0])
+    elif kind == "rename":
+        maps = [p for p in paths if isinstance(_at(doc, p), dict) and _at(doc, p)]
+        if maps:
+            target = _at(doc, data.draw(st.sampled_from(maps)))
+            key = data.draw(st.sampled_from(sorted(target)))
+            target[key + data.draw(st.sampled_from(("9", "\r", "⊗", " ")))] = target.pop(key)
+    elif kind == "point":
+        # a row or label map of rationals becomes a point mass, so that
+        # parameters drop out and observations can have zero likelihood
+        rows = [p for p in paths if isinstance(_at(doc, p), (list, dict)) and _at(doc, p)]
+        if rows:
+            target = _at(doc, data.draw(st.sampled_from(rows)))
+            keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+            hot = data.draw(st.sampled_from(keys))
+            for key in keys:
+                target[key] = "1" if key == hot else "0"
+    else:
+        strings = [p for p in paths if p and isinstance(_at(doc, p), str)]
+        if strings:
+            path = data.draw(st.sampled_from(strings))
+            old = _at(doc, path)
+            new = data.draw(st.sampled_from(HOSTILE_ENTRIES)) if kind == "entry" else old + "\r"
+            _at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def _render(data, doc) -> str:
+    """A document as file text, sometimes cut short, emptied or over-nested."""
+    text = json.dumps(doc, ensure_ascii=data.draw(st.booleans()))
+    form = data.draw(st.sampled_from(("whole",) * 6 + ("empty", "cut", "deep", "crlf")))
+    if form == "empty":
+        return ""
+    if form == "cut":
+        return text[: data.draw(st.integers(0, max(len(text) - 1, 0)))]
+    if form == "deep":
+        return "[" * 100_000 + text + "]" * 100_000
+    if form == "crlf":
+        return text.replace(",", ",\r")
+    return text
+
+
+def _csv_text(data) -> str:
+    labels = st.sampled_from(("x0", "y0", "y1", "x1", "", " x0", "y0\r", '"x0"', "x0,y0", "\x00", "m0"))
+    header = data.draw(st.sampled_from(("x,y", "x,y", "y,x", "x", "", "x,y,z", "﻿x,y")))
+    rows = data.draw(st.lists(st.tuples(labels, labels), max_size=6))
+    end = data.draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = end.join([header, *(f"{a},{b}" for a, b in rows)]) + end
+    if data.draw(st.booleans()):
+        return CSV
+    return text if data.draw(st.integers(0, 9)) else ""
+
+
+def _write(directory: Path, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
+
+
+def _run(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in EXITS, (code, err.getvalue())
+    assert elapsed < CASE_SECONDS, (argv, elapsed)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+        return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, err.getvalue()
+    report = json.loads(lines[0])
+    assert isinstance(report, dict) and set(report) == {"error", "type", "message"}
+    assert out.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@FUZZ
+@given(st.data())
+def test_learn_survives_malformed_bundles_and_csvs(workdir, data):
+    bundle = BUNDLE
+    for _ in range(data.draw(st.integers(0, 2))):
+        bundle = _mutate(data, bundle)
+    argv = [
+        "learn",
+        _write(workdir, "bundle.json", _render(data, bundle)),
+        _write(workdir, "train.csv", _csv_text(data)),
+        "--mode",
+        data.draw(st.sampled_from(("seq", "batch"))),
+    ]
+    if data.draw(st.booleans()):
+        argv.append("--argmax")
+    _run(argv)
+
+
+@FUZZ
+@given(st.data())
+def test_predict_survives_malformed_bundles_and_posteriors(workdir, data):
+    bundle = _mutate(data, BUNDLE) if data.draw(st.booleans()) else BUNDLE
+    posterior = _mutate(data, POSTERIOR)
+    _run([
+        "predict",
+        _write(workdir, "bundle.json", _render(data, bundle)),
+        _write(workdir, "posterior.json", _render(data, posterior)),
+        data.draw(st.sampled_from(("x0", "x9", ""))),
+    ])
+
+
+@FUZZ
+@given(st.data())
+def test_invert_survives_malformed_kernels(workdir, data):
+    kernel = _mutate(data, KERNEL)
+    prior = _mutate(data, PRIOR) if data.draw(st.booleans()) else PRIOR
+    _run([
+        "invert",
+        _write(workdir, "kernel.json", _render(data, kernel)),
+        _write(workdir, "prior.json", _render(data, prior)),
+    ])

@@ -47,6 +47,7 @@ from markov_bayes import (
     tensor,
     uniform_state,
 )
+from markov_bayes.learning import _event_channel
 from markov_bayes.sampling import (
     rand_kernel,
     rand_model,
@@ -130,10 +131,61 @@ def test_inversion_and_conditioning_are_closed():
     assert dead_outputs > 0  # the uniform fill was exercised
 
 
-def _reduced(st) -> tuple:
-    """The lowest-terms pair of every entry of a state, one ``gcd`` each."""
-    (num,), (d,) = st._num, st._den
-    return (tuple((n // gcd(n, d), d // gcd(n, d)) for n in num),)
+def _reduced(k) -> tuple:
+    """The lowest-terms pair of every entry of a kernel, one ``gcd`` each."""
+    return tuple(
+        tuple((n // gcd(n, d), d // gcd(n, d)) for n in num)
+        for num, d in zip(k._num, k._den)
+    )
+
+
+def _weights_row(rng: random.Random, case: str) -> list[int]:
+    """Nonnegative integer weights, not all zero, shaped by ``case``."""
+    k = rng.randint(2, 6)
+    if case == "zeros":
+        w = [rng.choice((0, 0, 1, 2, 3, 4, 6, 9)) for _ in range(k)]
+        w[rng.randrange(k)] += 1
+    elif case == "single":
+        w = [0] * k
+        w[rng.randrange(k)] = rng.randint(1, 10**6)
+    elif case == "divides":
+        # entries that are the total over one of its primes, topped up to
+        # the total by one more, so their product is a multiple of it
+        primes = [rng.choice((2, 3, 5, 7)) for _ in range(rng.randint(1, 4))]
+        total = prod(primes) * rng.randint(1, 3)
+        w = [total // q for q in primes]
+        while sum(w) > total:
+            w.pop()
+        w.append(total - sum(w))
+    else:  # "big": entries sharing large factors with the total
+        a, b = rng.getrandbits(5200) | 1, rng.getrandbits(5200) | 1
+        total = a * b * rng.randint(2, 9)
+        w = [a * rng.randint(1, b // 4), b * rng.randint(1, a // 4)]
+        w.append(total - sum(w))
+        w.append(0)
+    return w
+
+
+def test_terms_take_each_entrys_own_gcd():
+    """Each pair of ``_terms`` is the one ``math.gcd`` gives for its entry:
+    on rows with zeros, with one nonzero entry, whose denominator divides
+    the product of the numerators, and past 10⁴ bits."""
+    divides = big = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        case = ("zeros", "single", "divides", "big")[seed % 4]
+        rows = [_weights_row(rng, case) for _ in range(rng.randint(1, 3))]
+        width = max(map(len, rows))
+        rows = [w + [0] * (width - len(w)) for w in rows]
+        space = FinSpace("T", tuple(f"t{i}" for i in range(width)))
+        source = FinSpace("S", tuple(f"s{i}" for i in range(len(rows))))
+        k = Kernel(source, space, tuple(tuple(Fraction(v, sum(w)) for v in w) for w in rows))
+        assert k._terms == _reduced(k), seed
+        for num, d in zip(k._num, k._den):
+            spread = sum(1 for p in num if p) > 1
+            divides += spread and prod(p for p in num if p) % d == 0
+            big += d.bit_length() > 10_000 and any(gcd(p, d) > 2**1000 for p in num)
+    assert divides > 0 and big > 0, (divides, big)
 
 
 def test_learning_results_are_closed():
@@ -141,10 +193,14 @@ def test_learning_results_are_closed():
     for seed in SEEDS:
         rng = random.Random(seed)
         model = rand_model(rng)
-        assert_closed(joint_channel(model))
+        fj = joint_channel(model)
+        assert_closed(fj)
+        for j in range(len(fj.target)):
+            assert_closed(_event_channel(fj, j))
         data = rand_observations(rng, model, rng.randint(1, 6))
         for st in sequential_update(model, data).states:
             assert_closed(st)
+            assert st._terms == _reduced(st)
             steps += 1
         post = batch_update_factorized(model, data)
         assert_closed(post)

@@ -180,6 +180,76 @@ def test_sequential_checks_every_label_before_the_first_step():
         batch_update(_dead_model(), data)
 
 
+def _sharp_model(rng: random.Random) -> Model:
+    """A small random model whose channel rows are often point masses and
+    whose prior and input state may leave points out, so observations can be
+    certain or impossible under the running state."""
+
+    def dist(k):
+        if rng.random() < 0.4:
+            hot = rng.randrange(k)
+            return tuple(Fraction(int(i == hot)) for i in range(k))
+        w = [rng.randint(0, 4) for _ in range(k)]
+        w[rng.randrange(k)] += 1
+        return tuple(Fraction(v, sum(w)) for v in w)
+
+    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(1, 4))))
+    x = FinSpace("X", tuple(f"x{i}" for i in range(rng.randint(1, 2))))
+    y = FinSpace("Y", tuple(f"y{i}" for i in range(rng.randint(2, 3))))
+    channel = Kernel(product(m, x), y, tuple(dist(len(y)) for _ in range(len(m) * len(x))))
+    return Model(m, state(m, dist(len(m))), x, state(x, dist(len(x))), y, channel)
+
+
+def test_each_sequential_step_is_the_full_inverse_at_the_observed_column():
+    """The oracle: every state is the row of the whole joint channel's
+    inverse, against the state before it, at the observed column, and the
+    first observation of zero predictive mass raises at its own index.
+
+    The models have zero channel entries on the support of the running
+    state, and observations that are certain under it, so that the event
+    channel's ``other`` outcome has no mass."""
+    zero_on_support = certain = zero_likelihood = steps = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        model = rand_model(rng) if seed % 2 else _sharp_model(rng)
+        fj = joint_channel(model)
+        z = fj.target
+        columns = [rng.randrange(len(z)) for _ in range(rng.randint(1, 8))]
+        ny = len(model.output_space)
+        data = TrainingSet(
+            tuple(
+                (model.input_space.elements[j // ny], model.output_space.elements[j % ny])
+                for j in columns
+            )
+        )
+        expected = [model.prior]
+        dead = None
+        for k, j in enumerate(columns):
+            mass = compose(expected[-1], fj)._num[0][j]
+            if not mass:
+                dead = k
+                break
+            support = [i for i, p in enumerate(expected[-1]._num[0]) if p]
+            zero_on_support += any(fj._num[i][j] == 0 for i in support)
+            certain += all(fj._num[i][j] == fj._den[i] for i in support)
+            expected.append(
+                compose(delta(z, z.elements[j]), posterior_channel(model, expected[-1]))
+            )
+        if dead is not None:
+            zero_likelihood += 1
+            with pytest.raises(ZeroLikelihoodObservation) as exc:
+                sequential_update(model, data)
+            assert exc.value.step == dead, seed
+            assert exc.value.label == z.elements[columns[dead]]
+            continue
+        assert sequential_update(model, data).states == tuple(expected), seed
+        steps += len(columns)
+    assert zero_on_support > 0 and certain > 0 and zero_likelihood > 0, (
+        zero_on_support, certain, zero_likelihood
+    )
+    assert steps > 400, steps
+
+
 # ---------- batch updates ----------
 
 
