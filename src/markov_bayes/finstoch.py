@@ -321,6 +321,8 @@ def product(x: FinSpace, y: FinSpace) -> FinSpace:
 
 
 def _coerce_entry(e) -> Fraction:
+    """An entry as a :class:`Fraction`; a string is read as :func:`parse_rat`
+    reads it, with the same bound on a decimal's exponent."""
     if type(e) is Fraction:
         return e
     if isinstance(e, float):
@@ -328,6 +330,8 @@ def _coerce_entry(e) -> Fraction:
             f"float entry {e!r} rejected; kernels are exact, pass a Fraction, "
             f"an int, or a 'p/q' string"
         )
+    if isinstance(e, str):
+        return Fraction(*_parse_pair(e))
     return Fraction(e)
 
 

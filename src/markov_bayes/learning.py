@@ -45,11 +45,9 @@ from .finstoch import (
     copy,
     delta,
     identity,
-    left_unitor_inv,
     pair_label,
     product,
     right_unitor_inv,
-    state_tensor,
     tensor,
 )
 
@@ -393,31 +391,3 @@ def predictive(model: Model, posterior: State, x_star: str) -> State:
         ),
     )
     return compose(posterior, at_input)
-
-
-def output_marginal(model: Model, prior: State | None = None) -> State:
-    """The output distribution induced by the prior and the input state."""
-    if prior is None:
-        prior = model.prior
-    return compose(state_tensor(prior, model.input_state), model.channel)
-
-
-def full_predictive(model: Model, prior: State | None = None) -> Kernel:
-    """The input-to-output channel that bakes the whole update in.
-
-    Feeds the product of the input state and the induced output state into
-    the posterior channel, then runs the model at the fresh input with the
-    resulting parameters.
-    """
-    if prior is None:
-        prior = model.prior
-    x = model.input_space
-    training = state_tensor(model.input_state, output_marginal(model, prior))
-    return compose(
-        left_unitor_inv(x),
-        compose(
-            tensor(training, identity(x)),
-            compose(tensor(posterior_channel(model, prior), identity(x)), model.channel),
-        ),
-    )
-

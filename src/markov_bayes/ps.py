@@ -10,8 +10,9 @@ and respects the product structure.
 
 The public :class:`PSMorphism` checks that its kernel runs between the
 right spaces and preserves the states.  Composition, products and the
-dagger of morphisms preserve states by theorem, so they build their results
-through the unchecked :func:`_ps_trusted`; ``tests/test_closure.py`` checks
+dagger of morphisms preserve states by theorem, and :func:`ps_induced`
+takes the pushforward as its target, so they build their results through
+the unchecked :func:`_ps_trusted`; ``tests/test_closure.py`` checks
 that every such result preserves its states and is in normal form.
 """
 
@@ -108,9 +109,13 @@ def _ps_trusted(src: PSObject, dst: PSObject, rep: Kernel) -> PSMorphism:
 
 
 def ps_induced(src: PSObject, f: Kernel) -> PSMorphism:
-    """The morphism out of ``src`` along ``f``, with the pushforward target."""
+    """The morphism out of ``src`` along ``f``, with the pushforward target.
+
+    The target state is the pushforward itself, so ``f`` preserves states
+    by construction and only its normal form is computed here.
+    """
     dst = PSObject(f.target, compose(src.state, f))
-    return PSMorphism(src, dst, f)
+    return _ps_trusted(src, dst, canonicalize(f, src.state))
 
 
 def ps_identity(obj: PSObject) -> PSMorphism:

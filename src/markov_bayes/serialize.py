@@ -37,8 +37,18 @@ def _expect(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _parse_rows(rows) -> tuple:
+def _typed(value, kind: type, what: str):
+    """``value``, refused unless it is a ``kind``; a tuple passes for a list."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _parse_rows(rows, what: str) -> tuple:
     """Every entry of ``rows`` as an integer pair, all parsed before any check."""
+    for i, row in enumerate(_typed(rows, list, what)):
+        if not isinstance(row, (list, tuple)):
+            _typed(row, list, f"{what} row {i}")
     return tuple([parse_row(row) for row in rows])
 
 
@@ -52,9 +62,10 @@ def space_to_json(s: FinSpace) -> dict:
 def space_from_json(doc: dict) -> FinSpace:
     name = _expect(doc, "name", "space")
     elements = _expect(doc, "elements", "space")
+    _typed(elements, list, f"space {name!r}: field 'elements'")
     factors = doc.get("factors")
     if factors is not None:
-        if len(factors) != 2:
+        if len(_typed(factors, list, f"space {name!r}: field 'factors'")) != 2:
             raise ValueError("space: factors must list exactly two spaces")
         left, right = (space_from_json(f) for f in factors)
         rebuilt = product(left, right)
@@ -78,7 +89,7 @@ def kernel_from_json(doc: dict) -> Kernel:
     src = space_from_json(_expect(doc, "source", "kernel"))
     tgt = space_from_json(_expect(doc, "target", "kernel"))
     rows = _expect(doc, "rows", "kernel")
-    return _from_pairs(src, tgt, _parse_rows(rows))
+    return _from_pairs(src, tgt, _parse_rows(rows, "kernel: field 'rows'"))
 
 
 def state_to_map(st: State) -> dict:
@@ -89,6 +100,7 @@ def state_to_map(st: State) -> dict:
 
 
 def state_from_map(space: FinSpace, mapping: dict) -> State:
+    _typed(mapping, dict, f"state on space {space.name!r}")
     if set(mapping) != set(space.elements):
         raise ValueError(
             f"state labels {sorted(mapping)} do not match space "
@@ -179,7 +191,8 @@ def model_from_json(doc: dict) -> Model:
     output_space = space_from_json(_expect(doc, "output", "model"))
     rows = _expect(doc, "channel", "model")
     channel = _from_pairs(
-        product(params, input_space), output_space, _parse_rows(rows)
+        product(params, input_space), output_space,
+        _parse_rows(rows, "model: field 'channel'"),
     )
     return Model(
         params=params,

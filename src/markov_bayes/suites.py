@@ -71,12 +71,9 @@ from .paralens import (
     bayes_learn,
     bayes_lens,
     lens_compose,
-    lens_embed,
     lens_identity,
-    lens_reparametrize,
     para_compose,
     para_embed,
-    para_lens_compose,
     reparametrize,
 )
 from .ps import PSMorphism, dagger, ps_compose, ps_identity, ps_induced, ps_tensor
@@ -434,18 +431,18 @@ def _functor_check(f, g, alpha, b, plain) -> None:
 
     _require(
         bayes_learn(para_compose(f, g))
-        == para_lens_compose(bayes_learn(f), bayes_learn(g)),
+        == para_compose(bayes_learn(f), bayes_learn(g)),
         "learner construction does not respect composition",
     )
 
     _require(
         bayes_learn(reparametrize(f, alpha))
-        == lens_reparametrize(bayes_learn(f), alpha),
+        == reparametrize(bayes_learn(f), alpha),
         "learner construction does not commute with reparametrization",
     )
 
     _require(
-        bayes_learn(para_embed(plain)) == lens_embed(bayes_lens(plain)),
+        bayes_learn(para_embed(plain)) == para_embed(bayes_lens(plain)),
         "embedding a plain morphism does not commute with learning",
     )
 

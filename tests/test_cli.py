@@ -185,6 +185,28 @@ def test_learn_missing_file_exits_one(capsys, tmp_path):
     assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("params", "elements"), 5, "space 'M': field 'elements' must be a list, got int"),
+        (("channel",), 7, "model: field 'channel' must be a list, got int"),
+        (("channel", 1), 3, "model: field 'channel' row 1 must be a list, got int"),
+        (("prior",), ["1/2", "1/2"], "state on space 'M' must be a dict, got list"),
+    ],
+)
+def test_learn_names_a_bundle_field_of_the_wrong_type(capsys, tmp_path, path, value, message):
+    doc = json.loads(Path(BUNDLE).read_text())
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    bundle = write_json(tmp_path, "bad.json", doc)
+    code, _, err = run(capsys, "learn", bundle, CSV)
+    assert code == 1
+    assert json.loads(err) == {"error": "validation", "type": "ValueError", "message": message}
+
+
 # ---------- predict ----------
 
 

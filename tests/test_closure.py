@@ -272,7 +272,10 @@ def test_ps_operations_preserve_states_in_normal_form():
         g = rand_ps_morphism(rng, f.dst, "D")
         h = rand_ps_morphism(rng, c, "E")
         dead_outputs += f.dst.state.probs.count(0)
-        for m in (ps_compose(f, g), ps_tensor(f, h), dagger(f), dagger(ps_tensor(f, h))):
+        # f, g and h are ps_induced morphisms out of random objects
+        for m in (
+            f, g, h, ps_compose(f, g), ps_tensor(f, h), dagger(f), dagger(ps_tensor(f, h)),
+        ):
             assert_preserving(m)
     assert dead_outputs > 0  # dagger met outputs the pushforward never produces
 

@@ -190,6 +190,18 @@ def test_a_huge_exponent_is_refused_quickly():
     assert parse_rat("5e-600") == Fraction(1, 2 * 10**599)
 
 
+def test_the_public_constructors_bound_a_string_entrys_exponent():
+    space = FinSpace("S", ("s0", "s1"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent") as exc:
+        state(space, ("1e-4000000", "1"))
+    assert time.perf_counter() - start < 0.1
+    assert "'1e-4000000'" in str(exc.value)
+    with pytest.raises(ValueError, match="exponent"):
+        Kernel(space, space, (("1/2", "1/2"), ("1e4000000", "0")))
+    assert state(space, (" 2.5e-1", "3/4")).probs == (Fraction(1, 4), Fraction(3, 4))
+
+
 def test_cli_names_an_entry_with_a_huge_exponent(capsys, tmp_path):
     doc = json.loads(open(BUNDLE).read())
     doc["prior"]["m0"] = "1e-2000000"

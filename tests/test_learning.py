@@ -1,5 +1,6 @@
 """The sequential and batch learning pipeline over finite models."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_bayes import (
+    PS_UNIT,
     FinSpace,
     Kernel,
     Model,
     ObjectMismatch,
+    ParaMorphism,
     PosteriorTrace,
+    PSObject,
     SpaceMismatch,
     TrainingSet,
     UnknownLabel,
@@ -21,18 +25,20 @@ from markov_bayes import (
     batch_update,
     batch_update_factorized,
     batch_update_literal,
+    bayes_learn,
     compose,
     delta,
-    full_predictive,
     invert,
     joint_channel,
     observation_space,
-    output_marginal,
     pair_label,
     posterior_channel,
     predictive,
     product,
+    ps_induced,
+    ps_tensor,
     replicated_joint_channel,
+    right_unitor,
     sequential_update,
     state,
     uniform_state,
@@ -442,51 +448,55 @@ def test_predictive_rejects_unknown_inputs(two_point_model):
         predictive(two_point_model, two_point_model.prior, "x7")
 
 
-def test_output_marginal(two_point_model):
-    # prior-averaged row: 1/2*(2/3,1/3) + 1/2*(1/4,3/4)
-    assert output_marginal(two_point_model).probs == (rat("11/24"), rat("13/24"))
+# ---------- the learner's backward pass is the update ----------
 
 
-def test_full_predictive_matches_the_triple_sum(two_point_model):
-    model = two_point_model
-    got = full_predictive(model)
-    # brute force: average the per-parameter predictive over the joint of
-    # one training observation and the posterior it induces
-    pi_x = model.input_state
-    pi_y = output_marginal(model)
-    pc = posterior_channel(model)
-    for x_star in model.input_space.elements:
-        want = [Fraction(0)] * len(model.output_space)
-        for xi, xl in enumerate(model.input_space.elements):
-            for yi, yl in enumerate(model.output_space.elements):
-                weight = pi_x.probs[xi] * pi_y.probs[yi]
-                post = pc.dist(pair_label(xl, yl))
-                for mi, ml in enumerate(model.params.elements):
-                    row = model.channel.dist(pair_label(ml, x_star))
-                    for k in range(len(model.output_space)):
-                        want[k] += weight * post[mi] * row[k]
-        assert got.dist(x_star) == tuple(want)
+def _learner_posterior(model: Model, prior) -> Kernel:
+    """The backward pass of the learner of ``model`` with parameters under
+    ``prior``, its unit input stripped.
 
-
-def test_full_predictive_of_a_constant_model_is_the_channel():
-    m = FinSpace("M", ("m0", "m1"))
-    x = FinSpace("X", ("x0", "x1"))
-    y = FinSpace("Y", ("y0", "y1"))
-    rows = (("1/3", "2/3"), ("3/5", "2/5"), ("1/3", "2/3"), ("3/5", "2/5"))
-    channel = Kernel(product(m, x), y, rows)
-    model = Model(m, uniform_state(m), x, uniform_state(x), y, channel)
-    got = full_predictive(model)
-    assert got.dist("x0") == (rat("1/3"), rat("2/3"))
-    assert got.dist("x1") == (rat("3/5"), rat("2/5"))
-
-
-def test_full_predictive_with_a_point_prior_reads_that_parameter(two_point_model):
-    m = two_point_model
-    model = Model(
-        m.params, delta(m.params, "m0"), m.input_space, m.input_state,
-        m.output_space, m.channel,
+    The model is taken as a parametrized morphism out of the unit whose
+    body is the joint observation channel, so the backward pass sends an
+    observed pair back to a parameter state.
+    """
+    m = model.params
+    param = PSObject(m, prior)
+    body = ps_induced(
+        ps_tensor(param, PS_UNIT), compose(right_unitor(m), joint_channel(model))
     )
-    assert full_predictive(model).dist("x0") == (rat("2/3"), rat("1/3"))
+    learner = bayes_learn(ParaMorphism(param, PS_UNIT, body.dst, body))
+    return compose(learner.body.backward.rep, right_unitor(m))
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_the_learners_backward_pass_is_the_one_observation_update(seed):
+    rng = random.Random(seed)
+    model = rand_model(rng)
+    back = _learner_posterior(model, model.prior)
+    assert back == posterior_channel(model)
+    mass = compose(model.prior, joint_channel(model)).probs
+    labels = itertools.product(model.input_space.elements, model.output_space.elements)
+    for (x, y), p in zip(labels, mass):
+        if not p:
+            continue
+        data = pairs((x, y))
+        row = compose(delta(observation_space(model), pair_label(x, y)), back)
+        assert row == sequential_update(model, data).final == batch_update(model, data)
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_folding_the_learner_over_data_is_the_batch_update(seed):
+    # each step re-bases the learner's parameter state on the last posterior
+    rng = random.Random(seed)
+    model = rand_model(rng)
+    data = rand_observations(rng, model, rng.randint(0, 5))
+    obs = observation_space(model)
+    current = model.prior
+    for x, y in data:
+        current = compose(delta(obs, pair_label(x, y)), _learner_posterior(model, current))
+    assert current == batch_update(model, data)
 
 
 # ---------- containers ----------

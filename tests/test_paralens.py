@@ -20,14 +20,11 @@ from markov_bayes import (
     dagger,
     delta,
     lens_compose,
-    lens_embed,
     lens_identity,
-    lens_reparametrize,
     pair_label,
     para_compose,
     para_embed,
     para_identity,
-    para_lens_compose,
     ps_associator,
     ps_compose,
     ps_identity,
@@ -240,8 +237,8 @@ def test_bayes_learn_keeps_param_and_inverts_the_body():
     f = rand_para_morphism(rng, rand_ps_object(rng, "X", 3), "P", "Y")
     learner = bayes_learn(f)
     assert learner.param == f.param
-    assert learner.lens.forward == f.body
-    assert learner.lens.backward == dagger(f.body)
+    assert learner.body.forward == f.body
+    assert learner.body.backward == dagger(f.body)
 
 
 @given(seeds)
@@ -249,10 +246,10 @@ def test_bayes_learn_commutes_with_composition(seed):
     rng = random.Random(seed)
     f, g = para_pair(rng)
     composed_then_learned = bayes_learn(para_compose(f, g))
-    learned_then_composed = para_lens_compose(bayes_learn(f), bayes_learn(g))
+    learned_then_composed = para_compose(bayes_learn(f), bayes_learn(g))
     assert composed_then_learned.param == learned_then_composed.param
-    assert composed_then_learned.lens.forward == learned_then_composed.lens.forward
-    assert composed_then_learned.lens.backward == learned_then_composed.lens.backward
+    assert composed_then_learned.body.forward == learned_then_composed.body.forward
+    assert composed_then_learned.body.backward == learned_then_composed.body.backward
 
 
 @given(seeds)
@@ -266,10 +263,10 @@ def test_bayes_learn_commutes_with_reparametrization(seed):
     body = rand_ps_morphism(rng, ps_tensor(alpha.dst, src), "Y", 3)
     f = ParaMorphism(param=alpha.dst, src=src, dst=body.dst, body=body)
     one_way = bayes_learn(reparametrize(f, alpha))
-    other_way = lens_reparametrize(bayes_learn(f), alpha)
+    other_way = reparametrize(bayes_learn(f), alpha)
     assert one_way.param == other_way.param
-    assert one_way.lens.forward == other_way.lens.forward
-    assert one_way.lens.backward == other_way.lens.backward
+    assert one_way.body.forward == other_way.body.forward
+    assert one_way.body.backward == other_way.body.backward
 
 
 @given(seeds)
@@ -277,7 +274,7 @@ def test_embedding_a_channel_then_learning_is_embedding_its_lens(seed):
     rng = random.Random(seed)
     f = rand_ps_morphism(rng, rand_ps_object(rng, "X", 4), "Y", 4)
     learned = bayes_learn(para_embed(f))
-    embedded = lens_embed(bayes_lens(f))
+    embedded = para_embed(bayes_lens(f))
     assert learned.param == embedded.param
-    assert learned.lens.forward == embedded.lens.forward
-    assert learned.lens.backward == embedded.lens.backward
+    assert learned.body.forward == embedded.body.forward
+    assert learned.body.backward == embedded.body.backward
