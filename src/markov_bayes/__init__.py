@@ -98,14 +98,26 @@ from .learning import (
     replicated_joint_channel,
     sequential_update,
 )
-from .gauss import (
-    GaussPosterior,
-    RegressionData,
-    fit_posterior,
-    gauss_batch,
-    gauss_sequential,
-    map_estimate,
-    predictive_density,
+#: The float backend's names, served from :mod:`markov_bayes.gauss` on first
+#: use so that importing the exact core never loads numpy.
+_GAUSS_NAMES = (
+    "GaussPosterior",
+    "RegressionData",
+    "fit_posterior",
+    "gauss_batch",
+    "gauss_sequential",
+    "map_estimate",
+    "predictive_density",
 )
 
+# a star import binds the gauss names and module too, and so loads numpy
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["gauss", *_GAUSS_NAMES]
+
+
+def __getattr__(name: str):
+    if name in _GAUSS_NAMES:
+        from . import gauss
+
+        return getattr(gauss, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,7 @@ regression backend, and the seeded law-check suites.  All finite-backend
 output serializes probabilities as exact "p/q" strings; errors go to stderr
 as a single JSON object and map to exit codes: 1 for validation problems,
 2 for zero-likelihood data, 3 for a law violation found by ``check``.
+numpy loads only when ``gauss`` or the ``gauss`` or ``roundtrip`` suite runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .conditioning import invert
 from .errors import (
@@ -27,14 +29,6 @@ from .errors import (
     ZeroLikelihoodObservation,
 )
 from .finstoch import compose
-from .gauss import (
-    GaussPosterior,
-    fit_posterior,
-    gauss_batch,
-    gauss_sequential,
-    map_estimate,
-    predictive_density,
-)
 from .learning import (
     batch_update,
     predictive,
@@ -54,6 +48,9 @@ from .serialize import (
     training_set_from_csv,
 )
 from .suites import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .gauss import GaussPosterior
 
 EXIT_VALIDATION = 1
 EXIT_ZERO_LIKELIHOOD = 2
@@ -205,6 +202,14 @@ def _parse_point(text: str) -> list[float]:
 
 
 def cmd_gauss(args) -> int:
+    from .gauss import (
+        fit_posterior,
+        gauss_batch,
+        gauss_sequential,
+        map_estimate,
+        predictive_density,
+    )
+
     if args.action == "fit":
         data = regression_data_from_csv(Path(args.csv).read_text(encoding="utf-8"))
         post = fit_posterior(data, args.sigma)

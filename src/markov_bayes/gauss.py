@@ -11,6 +11,12 @@ and the batch update take the triangular factor of a QR of the stacked,
 noise-scaled rows, and the sequential update moves ``S`` one row at a time
 by Potter's square-root update.  No route forms the normal matrix, and all
 of them refuse through the same condition guard.
+
+numpy is the package's one dependency.  The exact layers import neither it
+nor this module when they load, so no exact command pays for either.  The
+triangular solves go through ``numpy.linalg``: an LU with partial pivoting
+makes no row swap on the upper factor ``R``, which is zero below its
+diagonal, so solving with it is back substitution.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, RankDeficient
 
@@ -128,8 +133,9 @@ def _from_rows(rows: np.ndarray) -> GaussPosterior:
     r = np.linalg.qr(rows, mode="r")
     r, z = r[:dim, :dim], r[:dim, dim]
     _guard(r)
-    root = solve_triangular(r, np.eye(dim))
-    return GaussPosterior(mean=solve_triangular(r, z), cov=root @ root.T)
+    solved = np.linalg.solve(r, np.column_stack([np.eye(dim), z]))
+    root = solved[:, :dim]
+    return GaussPosterior(mean=solved[:, dim], cov=root @ root.T)
 
 
 def _check_dim(data: RegressionData, prior: GaussPosterior) -> None:
@@ -215,8 +221,8 @@ def gauss_batch(
     sigma = _check_noise(sigma)
     _check_dim(data, prior)
     dim = prior.mean.shape[0]
-    prior_rows = solve_triangular(
-        prior.root, np.column_stack([np.eye(dim), prior.mean]), lower=True
+    prior_rows = np.linalg.solve(
+        prior.root, np.column_stack([np.eye(dim), prior.mean])
     )
     data_rows = np.column_stack([data.design, data.targets]) / sigma
     return _from_rows(np.vstack([prior_rows, data_rows]))

@@ -6,14 +6,15 @@ through :func:`~markov_bayes.finstoch.format_row`, and readers parse each
 entry straight to an integer pair, so no :class:`~fractions.Fraction` is
 built on either side.  Spaces serialize with their factor record
 when they have one, which keeps joint-state structure across a round trip.
+The float backend's forms import numpy and :mod:`~markov_bayes.gauss` when
+first called, so reading and writing exact values never loads them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .finstoch import (
     UNIT,
@@ -25,10 +26,12 @@ from .finstoch import (
     parse_row,
     product,
 )
-from .gauss import GaussPosterior, RegressionData
 from .learning import Model, PosteriorTrace, TrainingSet
 from .paralens import LensMorphism, ParaMorphism
 from .ps import PSMorphism, PSObject
+
+if TYPE_CHECKING:
+    from .gauss import GaussPosterior, RegressionData
 
 
 def _expect(doc: dict, key: str, where: str):
@@ -152,20 +155,32 @@ def lens_from_json(doc: dict) -> LensMorphism:
 
 
 def para_to_json(f: ParaMorphism) -> dict:
+    """A model's body is written as a morphism, a learner's as a lens,
+    ``{"forward": ..., "backward": ...}``."""
+    if isinstance(f.body, LensMorphism):
+        body = lens_to_json(f.body)
+    else:
+        body = ps_morphism_to_json(f.body)
     return {
         "param": ps_object_to_json(f.param),
         "src": ps_object_to_json(f.src),
         "dst": ps_object_to_json(f.dst),
-        "body": ps_morphism_to_json(f.body),
+        "body": body,
     }
 
 
 def para_from_json(doc: dict) -> ParaMorphism:
+    """Read either kind of body: a lens has a ``forward`` field."""
+    param, src, dst, body = (
+        _expect(doc, key, "parametrized morphism")
+        for key in ("param", "src", "dst", "body")
+    )
+    is_lens = isinstance(body, dict) and "forward" in body
     return ParaMorphism(
-        ps_object_from_json(_expect(doc, "param", "parametrized morphism")),
-        ps_object_from_json(_expect(doc, "src", "parametrized morphism")),
-        ps_object_from_json(_expect(doc, "dst", "parametrized morphism")),
-        ps_morphism_from_json(_expect(doc, "body", "parametrized morphism")),
+        ps_object_from_json(param),
+        ps_object_from_json(src),
+        ps_object_from_json(dst),
+        lens_from_json(body) if is_lens else ps_morphism_from_json(body),
     )
 
 
@@ -260,9 +275,10 @@ def gauss_posterior_to_json(post: GaussPosterior) -> dict:
 
 
 def gauss_posterior_from_json(doc: dict) -> GaussPosterior:
+    from .gauss import GaussPosterior
+
     return GaussPosterior(
-        np.asarray(_expect(doc, "mean", "posterior"), dtype=float),
-        np.asarray(_expect(doc, "cov", "posterior"), dtype=float),
+        _expect(doc, "mean", "posterior"), _expect(doc, "cov", "posterior")
     )
 
 
@@ -301,6 +317,10 @@ def regression_data_from_csv(text: str) -> RegressionData:
     name a line: first the earliest with a wrong field count or a
     non-numeric field, then the earliest with a non-finite field.
     """
+    import numpy as np
+
+    from .gauss import RegressionData
+
     if not text:
         raise ValueError("regression CSV is empty")
     if "\r" in text:

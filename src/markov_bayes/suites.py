@@ -8,7 +8,9 @@ only computes and compares.  Every case that fails is reported with its
 per-case seed and every value its check received, serialized, so a
 violation can be replayed in isolation; when drawing itself failed, the
 instance is ``None``.  The command line ``check`` subcommand and the
-acceptance tests both run these.
+acceptance tests both run these.  The ``gauss`` and ``roundtrip`` checks
+import numpy and the float backend when they run, so the exact suites never
+load them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import serialize
 from .conditioning import (
@@ -47,15 +47,6 @@ from .finstoch import (
     swap,
     tensor,
     uniform_row,
-)
-from .gauss import (
-    GaussPosterior,
-    RegressionData,
-    fit_posterior,
-    gauss_batch,
-    gauss_sequential,
-    map_estimate,
-    predictive_density,
 )
 from .learning import (
     Model,
@@ -567,6 +558,10 @@ def _roundtrip_check(f, joint, pi, model, data, m, numpy_seed) -> None:
     doc = json.loads(json.dumps(serialize.lens_to_json(lens)))
     _require(serialize.lens_from_json(doc) == lens, "lens does not round trip")
 
+    import numpy as np
+
+    from .gauss import RegressionData
+
     rng_np = np.random.default_rng(numpy_seed)
     reg = RegressionData(rng_np.normal(size=(5, 2)), rng_np.normal(size=5))
     back = serialize.regression_data_from_csv(
@@ -597,6 +592,18 @@ def _gauss_draw(rng: random.Random) -> dict:
 
 
 def _gauss_check(numpy_seed, dim, n_obs, cut) -> None:
+    import numpy as np
+
+    from .gauss import (
+        GaussPosterior,
+        RegressionData,
+        fit_posterior,
+        gauss_batch,
+        gauss_sequential,
+        map_estimate,
+        predictive_density,
+    )
+
     rng_np = np.random.default_rng(numpy_seed)
     design = rng_np.normal(size=(n_obs, dim))
     beta = rng_np.normal(size=dim) * 3

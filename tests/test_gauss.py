@@ -19,7 +19,7 @@ from markov_bayes import (
     map_estimate,
     predictive_density,
 )
-from markov_bayes.gauss import _guard
+from markov_bayes.gauss import MAX_NORMAL_CONDITION, _guard
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -226,6 +226,59 @@ def test_every_route_refuses_a_duplicate_column():
         gauss_sequential(data, 0.5, prior)
     with pytest.raises(RankDeficient):
         gauss_batch(data, 0.5, prior)
+
+
+# ---------- the triangular solves, up to the guard and past it ----------
+
+
+def conditioned_design(seed: int, n: int, dim: int, cond: float) -> RegressionData:
+    """An ``n x dim`` design whose singular values run from 1 down to ``1/cond``."""
+    npr = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(npr.normal(size=(n, dim)))
+    v, _ = np.linalg.qr(npr.normal(size=(dim, dim)))
+    x = (u * np.logspace(0.0, -np.log10(cond), dim)) @ v
+    y = x @ npr.uniform(-2.0, 2.0, dim) + 0.01 * npr.standard_normal(n)
+    return RegressionData(design=x, targets=y)
+
+
+def _rows(data: RegressionData, rows: slice) -> RegressionData:
+    return RegressionData(design=data.design[rows], targets=data.targets[rows])
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e5, 3e5], ids=["well", "cond2-1e10", "cond2-9e10"])
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_seq_and_batch_agree_up_to_the_guard(seed, cond):
+    # the fit of all rows, and each update of the fit of the first half
+    # by the second, are one posterior; agreement is to a share of scale
+    # as in the near-collinear benchmark ops
+    data = conditioned_design(seed, 200, 4, cond)
+    sigma = 0.5
+    assert np.linalg.cond(data.design) ** 2 == pytest.approx(cond**2, rel=1e-6)
+    fit = fit_posterior(data, sigma)
+    half = fit_posterior(_rows(data, slice(0, 100)), sigma)
+    posts = [fit, *(update(_rows(data, slice(100, None)), sigma, half)
+                    for update in (gauss_sequential, gauss_batch))]
+    mean_scale = 1.0 + max(np.max(np.abs(p.mean)) for p in posts)
+    cov_scale = max(np.max(np.abs(p.cov)) for p in posts)
+    for post in posts[1:]:
+        assert np.max(np.abs(post.mean - fit.mean)) <= 1e-6 * mean_scale
+        assert np.max(np.abs(post.cov - fit.cov)) <= 1e-6 * cov_scale
+    ols, *_ = np.linalg.lstsq(data.design, data.targets, rcond=None)
+    assert np.max(np.abs(fit.mean - ols)) <= 1e-6 * mean_scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_route_refuses_a_design_past_the_guard(seed):
+    data = conditioned_design(seed, 200, 4, 1e7)
+    assert np.linalg.cond(data.design) ** 2 > MAX_NORMAL_CONDITION
+    # a prior too wide to lift the smallest information above the guard
+    prior = GaussPosterior(mean=np.zeros(4), cov=1e16 * np.eye(4))
+    with pytest.raises(RankDeficient):
+        fit_posterior(data, 1.0)
+    with pytest.raises(RankDeficient):
+        gauss_sequential(data, 1.0, prior)
+    with pytest.raises(RankDeficient):
+        gauss_batch(data, 1.0, prior)
 
 
 # ---------- Potter's loop against the outer-product reference ----------

@@ -18,7 +18,9 @@ from markov_bayes import (
     FinSpace,
     GaussPosterior,
     RegressionData,
+    ParaMorphism,
     TrainingSet,
+    bayes_learn,
     bayes_lens,
     product,
     sequential_update,
@@ -59,6 +61,7 @@ from markov_bayes.serialize import (
     training_set_from_csv,
     training_set_to_csv,
 )
+from markov_bayes.suites import _TO_JSON
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -151,6 +154,21 @@ def test_para_and_lens_round_trips(seed):
     assert para_from_json(para_to_json(f)) == f
     lens = bayes_lens(f.body)
     assert lens_from_json(lens_to_json(lens)) == lens
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_learner_round_trips_with_a_lens_body(seed):
+    rng = random.Random(seed)
+    model = rand_para_morphism(rng, rand_ps_object(rng, "A"), "P", "B")
+    learner = bayes_learn(model)
+    doc = json.loads(json.dumps(para_to_json(learner)))
+    assert set(doc["body"]) == {"forward", "backward"}
+    assert para_from_json(doc) == learner
+    assert para_from_json(doc) != model
+    # the suites' failure serializer dispatches on type and writes either kind
+    for case in (model, learner):
+        assert para_from_json(json.loads(json.dumps(_TO_JSON[ParaMorphism](case)))) == case
 
 
 # ---------- model bundles ----------
