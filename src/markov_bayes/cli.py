@@ -149,18 +149,19 @@ def cmd_invert(args) -> int:
 
 
 def _argmax_label(st) -> str:
-    """The first most probable label, read off the numerators over the row's
-    one denominator."""
-    num = st._num[0]
+    """The first most probable label, read off the weights over the row's
+    one denominator: a factored state's decimal weights when it has them,
+    so its binary row is not built, else the integer numerators."""
+    num = (st._decimals or st._num)[0]
     best = max(range(len(num)), key=num.__getitem__)
     return st.target.elements[best]
 
 
 def cmd_learn(args) -> int:
-    model = model_from_json(_load_json(args.bundle))
-    data = training_set_from_csv(Path(args.csv).read_text(encoding="utf-8"))
     if args.trace_tsv and args.mode != "seq":
         raise ValueError("--trace-tsv requires --mode seq")
+    model = model_from_json(_load_json(args.bundle))
+    data = training_set_from_csv(Path(args.csv).read_text(encoding="utf-8"))
 
     if args.mode == "seq":
         trace = sequential_update(model, data)

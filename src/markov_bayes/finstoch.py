@@ -19,7 +19,9 @@ view that is built on first read and cached.
 Rationals are read and written as ``"p/q"`` text without that view.
 :func:`format_row` renders a row from the cached ``_terms`` view, each entry
 as its own lowest-terms integer pair, converting each distinct denominator
-once; :func:`parse_row` reads each entry straight to an integer pair.
+once; :func:`parse_row` reads each entry straight to an integer pair.  A
+state that holds its weights factored, as the batch update leaves them,
+builds its integer row on first read and has an exact decimal view.
 Integers past 2048 bits or 600 digits convert divide-and-conquer, so
 neither direction is quadratic in the length of the number, and the
 interpreter's int-to-string digit limit is never reached or changed.
@@ -64,7 +66,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from weakref import WeakValueDictionary
 
 from .errors import SpaceMismatch, UnknownLabel
@@ -88,6 +90,8 @@ _TWO = Decimal(2)
 def _int_text(n: int) -> str:
     """``str(n)`` at any length.
 
+    A factored state with no rough part is printed from its decimal view
+    and never comes here; every other row does.
     Past ``_DIRECT_BITS`` the integer is split into ``hi * 2**k + lo`` at
     half its bits, both halves are converted recursively to
     :class:`Decimal`, and they are recombined in exact decimal arithmetic,
@@ -371,6 +375,51 @@ def _checked_rows(source: FinSpace, target: FinSpace, rows):
     return tuple(num), tuple(den)
 
 
+#: Primes a factored state carries as exponents.  Channels of small
+#: rationals have entries that factor over these, so most of the
+#: cancellation between posterior weights is exponent arithmetic.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _expand(factors, width: int, one) -> tuple:
+    """The weights of a factored row, their total and each entry's
+    lowest-terms pair, in ``int`` or exact :class:`Decimal` arithmetic as
+    ``one`` is.
+
+    ``factors`` holds one ``(m, shift, rough)`` per nonzero entry ``m``: its
+    weight is ``rough``, which has no prime below 50, times ``_SMALL_PRIMES``
+    to the exponents ``shift``.  A weight is raised to all its exponents at
+    once, high bit first: a squaring, then a product with the primes whose
+    exponent has that bit set, which is below ``10**19`` and so one word of
+    a :class:`Decimal`.  Its gcd with the total is the small primes to at
+    most their exponent in the total, found with ``%``, times the gcd of the
+    rough part with the total, which needs no big gcd when the rough part
+    is 1.  A zero entry is ``(0, 1)``.
+    """
+    weights = [0] * width
+    for m, shift, rough in factors:
+        w = one
+        for bit in reversed(range(max(shift).bit_length())):
+            w = w * w * prod(q for q, s in zip(_SMALL_PRIMES, shift) if s >> bit & 1)
+        weights[m] = w * rough
+    total = sum(weights)
+    valuation = []
+    for q, cap in zip(_SMALL_PRIMES, map(max, zip(*[s for _, s, _ in factors]))):
+        v, rest = 0, total
+        while v < cap and rest % q == 0:
+            rest //= q
+            v += 1
+        valuation.append(v)
+    terms = [(0, 1)] * width
+    for m, shift, rough in factors:
+        g = prod(q ** min(s, v) for q, s, v in zip(_SMALL_PRIMES, shift, valuation) if v)
+        if rough != 1:
+            g *= gcd(rough, total)
+        w = weights[m]
+        terms[m] = (w, total) if g == 1 else (w // g, total // g)
+    return tuple(weights), total, tuple(terms)
+
+
 class Kernel:
     """A row-stochastic table of rationals from ``source`` to ``target``.
 
@@ -407,6 +456,9 @@ class Kernel:
             source=source, target=target, rows=rows, _num=num, _den=den, _map=None
         )
 
+    #: a factored state's record; see :func:`_factored`
+    _factors = None
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -431,17 +483,36 @@ class Kernel:
             f"{len(self.source)}x{len(self.target)})"
         )
 
-    # Every constructor but _deterministic stores _num and _den, which then
-    # shadow these; a deterministic kernel builds its one-hot rows only
-    # when a general route first reads them.
+    # Every constructor but _deterministic and _factored stores _num and
+    # _den, which then shadow these; a deterministic kernel builds its
+    # one-hot rows, and a factored state its integer row, only when a
+    # general route first reads them.
     @cached_property
     def _num(self) -> tuple[tuple[int, ...], ...]:
+        if self._map is None:
+            return (self._ints[0],)
         m = len(self.target)
         return tuple((0,) * j + (1,) + (0,) * (m - j - 1) for j in self._map)
 
     @cached_property
     def _den(self) -> tuple[int, ...]:
+        if self._map is None:
+            return (self._ints[1],)
         return (1,) * len(self._map)
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """A factored state's weights, total and lowest terms, as integers."""
+        return _expand(self._factors, len(self.target), 1)
+
+    @cached_property
+    def _decimals(self) -> tuple | None:
+        """A factored state's weights, total and lowest terms in exact
+        decimal; ``None`` when there is no record or a rough part is not 1."""
+        if self._factors is None or any(r != 1 for _, _, r in self._factors):
+            return None
+        with localcontext(_EXACT):
+            return _expand(self._factors, len(self.target), Decimal(1))
 
     @cached_property
     def _terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -454,8 +525,11 @@ class Kernel:
         When ``G`` is 1, as it mostly is, no entry needs a gcd of its own.
         A row with at most two nonzero entries needs none at all: with
         ``p + p' = d``, ``gcd(p, d) = gcd(p, p')``, the gcd of the row's
-        numerators, which is 1.  A zero entry is ``(0, 1)``.
+        numerators, which is 1.  A zero entry is ``(0, 1)``.  A factored
+        state takes its pairs from its record instead.
         """
+        if self._factors is not None:
+            return (self._ints[2],)
         terms = []
         for num, d in zip(self._num, self._den):
             support = [p for p in num if p]
@@ -505,18 +579,23 @@ class Kernel:
 State = Kernel
 
 
-def _trusted(source: FinSpace, target: FinSpace, num, den, terms=None) -> Kernel:
+def _trusted(source: FinSpace, target: FinSpace, num, den) -> Kernel:
     """A kernel built without the checks of :class:`Kernel`.
 
     Only for results of operations on validated kernels: ``num`` must be a
     tuple of lowest-terms integer rows of the right shape, each summing to
-    its entry of ``den``.  ``terms``, when the caller knows it, is the
-    ``_terms`` view of those rows.
+    its entry of ``den``.
     """
     k = object.__new__(Kernel)
     k.__dict__.update(source=source, target=target, _num=num, _den=den, _map=None)
-    if terms is not None:
-        k.__dict__["_terms"] = terms
+    return k
+
+
+def _factored(target: FinSpace, factors) -> State:
+    """The state on ``target`` of weights factored as :func:`_expand` reads
+    them, with gcd 1; its integer row is built on first read."""
+    k = object.__new__(Kernel)
+    k.__dict__.update(source=UNIT, target=target, _map=None, _factors=factors)
     return k
 
 

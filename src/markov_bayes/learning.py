@@ -40,6 +40,8 @@ from .finstoch import (
     FinSpace,
     Kernel,
     State,
+    _SMALL_PRIMES,
+    _factored,
     _trusted,
     compose,
     copy,
@@ -245,12 +247,6 @@ def batch_update_literal(model: Model, data: TrainingSet) -> State:
     return compose(delta(chan.target, label), invert(chan, model.prior))
 
 
-#: Primes tracked as exponents by the batch update.  Channels of small
-#: rationals have entries that factor over these, so most of the
-#: cancellation between the posterior weights is exponent arithmetic.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def _split_small(v: int) -> tuple[list[int], int]:
     """The exponent of each small prime in ``v``, and the rest of ``v``."""
     exponents = []
@@ -280,12 +276,13 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     common factor is then the gcd of their numerators, so no gcd is taken
     of two weights over the common denominator.
 
-    The result also carries each entry in lowest terms.  A weight is a
-    product of small primes and a rough part with no prime below 50, so its
-    gcd with the total is the small primes to at most their exponent in
-    the total, found by dividing by each prime, times the gcd of the rough
-    part with the total, which is 1 without a big gcd whenever the rough
-    part is 1, as it is for every channel of small rationals.
+    The update stops at that factored form: it returns a state that holds,
+    for each live parameter, its small-prime exponents above their least
+    over the live parameters and its rough part, which has no prime below
+    50 and is 1 for every channel of small rationals.  The binary weights,
+    their total and each entry's lowest terms are built from it when
+    something first reads them; the writers render a state whose rough
+    parts are all 1 straight from it in exact decimal, and never build them.
     """
     counts = Counter(_observation_indices(model, data))
     nx, ny = len(model.input_space), len(model.output_space)
@@ -332,34 +329,11 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     scale = lcm(*bottoms)
     # a prime of every reduced top divides no bottom, so none of the scale
     common = gcd(*tops)
-    weights = [0] * len(prior)
-    shifts, roughs = [], []
-    for m, e, top, bottom in zip(live, exponents, tops, bottoms):
-        shift = [x - low for x, low in zip(e, least)]
-        rough = (top // common) * (scale // bottom)
-        weights[m] = prod(q**s for q, s in zip(_SMALL_PRIMES, shift)) * rough
-        shifts.append(shift)
-        roughs.append(rough)
-    total = sum(weights)
-    # each weight's gcd with the total: its small primes to at most their
-    # exponent in the total, times the gcd of its rough part with the total
-    valuation = []
-    for q, cap in zip(_SMALL_PRIMES, map(max, zip(*shifts))):
-        v, rest = 0, total
-        while v < cap and rest % q == 0:
-            rest //= q
-            v += 1
-        valuation.append(v)
-    terms = [(0, 1)] * len(prior)
-    for m, shift, rough in zip(live, shifts, roughs):
-        g = prod(q ** min(s, v) for q, s, v in zip(_SMALL_PRIMES, shift, valuation) if v)
-        if rough != 1:
-            g *= gcd(rough, total)
-        w = weights[m]
-        terms[m] = (w, total) if g == 1 else (w // g, total // g)
-    return _trusted(
-        UNIT, model.params, (tuple(weights),), (total,), terms=(tuple(terms),)
+    factors = tuple(
+        (m, tuple([x - low for x, low in zip(e, least)]), (top // common) * (scale // bottom))
+        for m, e, top, bottom in zip(live, exponents, tops, bottoms)
     )
+    return _factored(model.params, factors)
 
 
 def batch_update(model: Model, data: TrainingSet) -> State:

@@ -96,10 +96,17 @@ def kernel_from_json(doc: dict) -> Kernel:
 
 
 def state_to_map(st: State) -> dict:
-    """A state as a label-to-rational mapping, in space order."""
+    """A state as a label-to-rational mapping, in space order.
+
+    A factored state with no rough part, as the batch update mostly leaves,
+    prints from its exact decimal view, and its binary row is never built.
+    """
     if len(st.source) != 1:
         raise ValueError(f"{st!r} is not a state")
-    return dict(zip(st.target.elements, format_row(st._terms[0])))
+    decimals = st._decimals
+    if decimals is None:
+        return dict(zip(st.target.elements, format_row(st._terms[0])))
+    return {label: f"{p}/{q}" for label, (p, q) in zip(st.target.elements, decimals[2])}
 
 
 def state_from_map(space: FinSpace, mapping: dict) -> State:

@@ -15,6 +15,7 @@ from markov_bayes import FinSpace, Kernel, Model, delta, product, uniform_state
 from markov_bayes.cli import main
 from markov_bayes.serialize import kernel_to_json, model_to_json
 from markov_bayes.suites import SuiteFailure, SuiteReport
+from test_exact_io import _grid_bundle
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -126,6 +127,49 @@ def test_learn_seq_output_is_byte_for_byte_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == SEQ_GOLDEN_SHA256
 
 
+def _rough_bundle() -> dict:
+    """Two inputs, a zero prior entry, and channel entries over 53 and 59,
+    primes the batch update does not factor out."""
+    return {
+        "params": {"name": "M", "elements": ["m0", "m1", "m2"]},
+        "prior": {"m0": "0/1", "m1": "1/3", "m2": "2/3"},
+        "input": {"name": "X", "elements": ["x0", "x1"]},
+        "input_state": {"x0": "1/2", "x1": "1/2"},
+        "output": {"name": "Y", "elements": ["y0", "y1"]},
+        "channel": [
+            ["1/2", "1/2"], ["1/2", "1/2"],
+            ["1/53", "52/53"], ["3/4", "1/4"],
+            ["7/59", "52/59"], ["1/5", "4/5"],
+        ],
+    }
+
+
+#: sha256 of the stdout of ``learn --mode batch``, recorded before the batch
+#: posterior was rendered from its factored form.
+BATCH_GOLDEN_SHA256 = {
+    "grid-50x5x5-n2000": "8c0e421ae6e9f440afb2f54864f5df35fea01a6fd124dcf984961e4bca1ad499",
+    "two-point-n6000": "412e48701460df3c1c209b0587b14073d2a4f90ae51e7cd4610232c4ae06f89b",
+    "rough-n900": "a41f0d4ff45671ce5333b406561dc0c039b855ec3c2cff5721b0a0edae379539",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_GOLDEN_SHA256))
+def test_learn_batch_output_is_byte_for_byte_pinned(capsys, tmp_path, case):
+    rng = random.Random(case)
+    if case.startswith("grid"):
+        bundle, n = _grid_bundle(rng, 50, 5, 5), 2000
+    elif case.startswith("two-point"):
+        bundle, n = json.loads(Path(BUNDLE).read_text()), 6000
+    else:
+        bundle, n = _rough_bundle(), 900
+    xs, ys = bundle["input"]["elements"], bundle["output"]["elements"]
+    csv = tmp_path / "train.csv"
+    csv.write_text("x,y\n" + "".join(f"{rng.choice(xs)},{rng.choice(ys)}\n" for _ in range(n)))
+    code, out, err = run(capsys, "learn", write_json(tmp_path, "b.json", bundle), str(csv))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_GOLDEN_SHA256[case]
+
+
 def test_learn_trace_tsv(capsys, tmp_path):
     tsv = tmp_path / "trace.tsv"
     run_json(capsys, "learn", BUNDLE, CSV, "--mode", "seq", "--trace-tsv", str(tsv))
@@ -143,6 +187,17 @@ def test_learn_trace_tsv_demands_seq_mode(capsys, tmp_path):
     )
     assert code == 1
     assert "seq" in json.loads(err)["message"]
+
+
+def test_learn_refuses_trace_tsv_without_seq_before_reading_its_files(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "learn", str(tmp_path / "no.json"), str(tmp_path / "no.csv"),
+        "--trace-tsv", str(tmp_path / "t.tsv"),
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "validation", "type": "ValueError", "message": "--trace-tsv requires --mode seq"
+    }
 
 
 def test_learn_argmax(capsys):

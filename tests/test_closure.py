@@ -229,9 +229,10 @@ def _rough_model(rng: random.Random) -> Model:
 
 
 def test_batch_update_supplies_each_entrys_lowest_terms():
-    """The per-entry view the batch update fills in is the one ``math.gcd``
-    gives, including entries whose gcd with the total has small primes and
-    entries whose gcd has a prime the update does not track."""
+    """The per-entry view built from the batch update's factored record is
+    the one ``math.gcd`` gives, including entries whose gcd with the total
+    has small primes and entries whose gcd has a prime the update does not
+    track."""
     small_gcds = rough_gcds = 0
     for seed in range(600):
         rng = random.Random(seed)
@@ -241,7 +242,9 @@ def test_batch_update_supplies_each_entrys_lowest_terms():
             for _ in range(rng.randint(1, 8))
         ]
         post = batch_update_factorized(model, TrainingSet(tuple(pairs)))
-        assert "_terms" in vars(post)
+        # the update leaves its factored record; the rows come on first read
+        assert vars(post)["_factors"] is not None
+        assert not {"_ints", "_num", "_den", "_terms"} & set(vars(post))
         assert post._terms == _reduced(post)
         assert_closed(post)
         total = post._den[0]

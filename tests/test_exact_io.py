@@ -23,6 +23,7 @@ from markov_bayes import (
     NotStatePreserving,
     PSMorphism,
     PSObject,
+    TrainingSet,
     batch_update,
     identity,
     product,
@@ -304,6 +305,100 @@ def test_learn_builds_no_fraction_view(capsys, tmp_path, monkeypatch):
         out, err = capsys.readouterr()
         assert code == 0, err
         assert json.loads(out)["argmax"] in ("m0", "m1")
+
+
+def _tied_model(prior) -> Model:
+    """Parameters with one shared channel row, so the posterior keeps the
+    prior's ties at any data."""
+    m = FinSpace("M", tuple(f"m{i}" for i in range(len(prior))))
+    x = FinSpace("X", ("x0",))
+    y = FinSpace("Y", ("y0", "y1"))
+    channel = Kernel(product(m, x), y, (("2/5", "3/5"),) * len(prior))
+    return Model(m, state(m, prior), x, uniform_state(x), y, channel)
+
+
+@pytest.mark.parametrize(
+    "prior, first",
+    [(("1/3", "1/3", "1/3"), "m0"), (("1/5", "2/5", "2/5"), "m1"), (("1/4", "0", "3/8", "3/8"), "m2")],
+)
+def test_argmax_of_a_batch_posterior_reads_its_decimal_weights(prior, first):
+    model = _tied_model(prior)
+    post = batch_update(model, TrainingSet((("x0", "y0"), ("x0", "y1")) * 900))
+    assert _argmax_label(post) == first
+    assert "_ints" not in vars(post)
+    num = post._num[0]
+    assert post.target.elements[num.index(max(num))] == first
+
+
+def test_learn_batch_builds_no_binary_weight(capsys, tmp_path, monkeypatch):
+    def no_binary(self):
+        raise AssertionError("the binary weights were built")
+
+    monkeypatch.setattr(Kernel, "_ints", property(no_binary))
+    rng = random.Random(7)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(_grid_bundle(rng, 50, 5, 5)))
+    for bundle, labels in ((BUNDLE, ("x0", "y0", "y1")), (str(grid), ("x1", "y2", "y4"))):
+        x, *ys = labels
+        csv = tmp_path / "train.csv"
+        csv.write_text("x,y\n" + "".join(f"{x},{rng.choice(ys)}\n" for _ in range(3000)))
+        for extra in ([], ["--argmax"]):
+            code = main(["learn", bundle, str(csv), "--mode", "batch", *extra])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            assert len(json.loads(out)["posterior"]) in (2, 50)
+
+
+# ---------- batch posteriors printed from decimal ----------
+
+
+def _differential_model(rng: random.Random, rough: bool) -> Model:
+    """Weights that carry 2 and 5 together, so the totals can end in zeros;
+    some zero prior entries; and, when ``rough``, the primes 53 and 59."""
+    pool = (1, 2, 4, 5, 8, 10, 20, 25, 3) + ((53, 59, 106) if rough else ())
+
+    def row(k, zeros=False):
+        w = [rng.choice(pool) for _ in range(k)]
+        if zeros:
+            w = [v if rng.random() < 0.7 else 0 for v in w]
+            w[rng.randrange(k)] = rng.choice(pool)
+        return tuple(Fraction(v, sum(w)) for v in w)
+
+    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(2, 5))))
+    x = FinSpace("X", tuple(f"x{i}" for i in range(rng.randint(1, 2))))
+    y = FinSpace("Y", tuple(f"y{i}" for i in range(rng.randint(2, 3))))
+    channel = Kernel(product(m, x), y, tuple(row(len(y)) for _ in range(len(m) * len(x))))
+    return Model(m, state(m, row(len(m), zeros=True)), x, state(x, row(len(x))), y, channel)
+
+
+def test_batch_posterior_prints_as_the_binary_route_does():
+    """The decimal rendering of a batch posterior is ``format_row`` of the
+    lowest terms that the sequential route's state gives by its own gcds,
+    and the state is that state, at counts up to a few thousand."""
+    routes = {"decimal": 0, "binary": 0}
+    reduced = zeros = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        model = _differential_model(rng, rough=seed % 3 == 0)
+        n = rng.randint(1000, 2500) if seed % 10 == 0 else rng.randint(1, 60)
+        xs, ys = model.input_space.elements, model.output_space.elements
+        data = TrainingSet(tuple((rng.choice(xs), rng.choice(ys)) for _ in range(n)))
+        post = batch_update(model, data)
+        printed = state_to_map(post)
+        route = "binary" if post._decimals is None else "decimal"
+        routes[route] += 1
+        if route == "decimal":
+            assert "_ints" not in vars(post)
+        final = sequential_update(model, data).final
+        assert post == final
+        assert list(printed.values()) == format_row(final._terms[0])
+        assert list(printed.values()) == format_row(post._terms[0])
+        # entries whose small gcd with the total is not 1
+        reduced += route == "decimal" and any(
+            q not in (1, post._den[0]) for _, q in post._terms[0]
+        )
+        zeros += "0/1" in printed.values()
+    assert min(routes.values()) > 10 and reduced > 2 and zeros > 5, (routes, reduced, zeros)
 
 
 # ---------- the command line, byte for byte ----------
