@@ -65,7 +65,7 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from weakref import WeakValueDictionary
 
@@ -162,9 +162,10 @@ _RATIONAL = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 _EXPONENT_PER_CHAR = 100
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, den_int=_digits_int) -> tuple[int, int]:
     """The integer pair ``(p, q)``, with ``q > 0`` and not necessarily in
-    lowest terms, of a rational spelled as :func:`parse_rat` reads it."""
+    lowest terms, of a rational spelled as :func:`parse_rat` reads it;
+    ``den_int`` converts the digits of a ``p/q`` denominator."""
     try:
         body = text.strip()
     except AttributeError:
@@ -172,7 +173,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     match = _RATIONAL.fullmatch(body)
     if match is not None:
         num, den = match.groups()
-        q = _digits_int(den) if den else 1
+        q = den_int(den) if den else 1
         if not q:
             raise ValueError(f"not a rational: {text!r}")
         return _digits_int(num), q
@@ -196,8 +197,19 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def parse_row(texts) -> tuple[tuple[int, int], ...]:
     """Parse a row of rationals, each spelled as :func:`parse_rat` reads it,
     to integer pairs ``(p, q)`` with ``q > 0``, not necessarily in lowest
-    terms."""
-    return tuple([_parse_pair(text) for text in texts])
+    terms.
+
+    Each distinct string is parsed once, and each distinct denominator's
+    digits are converted once.  Entries are parsed in order, so the first
+    bad one raises; one that is not a string is refused as by
+    :func:`parse_rat`.
+    """
+    pairs, den_int = {}, cache(_digits_int)
+    return tuple([
+        pairs.get(t) or pairs.setdefault(t, _parse_pair(t, den_int))
+        if type(t) is str else _parse_pair(t)
+        for t in texts
+    ])
 
 
 def parse_rat(text: str) -> Fraction:
@@ -344,9 +356,11 @@ def _checked_rows(source: FinSpace, target: FinSpace, rows):
 
     Every ``q`` must be positive; the pairs need not be in lowest terms.
     Checks the shape, that no entry is negative and that every row sums to
-    one exactly.  Over the lcm of a row's denominators the entries are
-    integers, and dividing them and the lcm by their gcd puts the row in
-    lowest terms.
+    one exactly.  Over the lcm ``d`` of a row's denominators the entries
+    are integers that sum to ``d``, so ``gcd(d, *ints)`` is their gcd, and
+    dividing them and ``d`` by it puts the row in lowest terms.  Led by
+    ``d``, the chain stops at its first step for a row written over one
+    shared denominator, and takes no gcd of two long numerators.
     """
     if len(rows) != len(source):
         raise ValueError(
@@ -369,7 +383,7 @@ def _checked_rows(source: FinSpace, target: FinSpace, rows):
         total = sum(ints)
         if total != d:
             raise ValueError(f"row {i} sums to {_rat_text(total, d)}, not 1")
-        c = gcd(*ints)
+        c = gcd(d, *ints)
         num.append(tuple(ints) if c == 1 else tuple([a // c for a in ints]))
         den.append(d // c)
     return tuple(num), tuple(den)

@@ -247,15 +247,17 @@ def batch_update_literal(model: Model, data: TrainingSet) -> State:
     return compose(delta(chan.target, label), invert(chan, model.prior))
 
 
-def _split_small(v: int) -> tuple[list[int], int]:
-    """The exponent of each small prime in ``v``, and the rest of ``v``."""
+def _split_small(v: int) -> tuple[list[tuple[int, int]], int]:
+    """The ``(index, exponent)`` of each small prime that divides ``v``, in
+    ``_SMALL_PRIMES`` order, and the rest of ``v``."""
     exponents = []
-    for q in _SMALL_PRIMES:
+    for k, q in enumerate(_SMALL_PRIMES):
         e = 0
         while v % q == 0:
             v //= q
             e += 1
-        exponents.append(e)
+        if e:
+            exponents.append((k, e))
     return exponents, v
 
 
@@ -270,11 +272,15 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     ``m``, so the weights are read off the model's channel rows instead:
     ``prior(m) * prod_(x, y) channel(m, x)(y) ** count(x, y)``.
 
-    Each weight is a fraction of small integers raised to the counts.  The
-    small primes are carried as exponents, and what is left of each weight
-    is reduced on its own; over the lcm of those denominators the weights'
-    common factor is then the gcd of their numerators, so no gcd is taken
-    of two weights over the common denominator.
+    The observations are counted first, and each distinct pair is indexed
+    once, in order of first occurrence, so the first unknown label raised
+    is the first in the data.  Each weight is a fraction of small integers
+    raised to the counts.  The small primes are carried as exponents: each
+    distinct model value is split once per call into the small primes that
+    divide it, and a parameter's exponents add only those.  What is left of
+    each weight is reduced on its own; over the lcm of those denominators
+    the weights' common factor is then the gcd of their numerators, so no
+    gcd is taken of two weights over the common denominator.
 
     The update stops at that factored form: it returns a state that holds,
     for each live parameter, its small-prime exponents above their least
@@ -284,42 +290,55 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     something first reads them; the writers render a state whose rough
     parts are all 1 straight from it in exact decimal, and never build them.
     """
-    counts = Counter(_observation_indices(model, data))
-    nx, ny = len(model.input_space), len(model.output_space)
+    nx = len(model.input_space)
+    try:
+        seen = Counter(data.pairs)
+    except TypeError:  # an unhashable label: the scan names the first unknown
+        _observation_indices(model, data)
+        raise
+    # (input index, output index, count) of each distinct observed pair
+    cells = [
+        (model.input_space.index(x), model.output_space.index(y), c)
+        for (x, y), c in seen.items()
+    ]
     px = model.input_state._num[0]
     prior = model.prior._num[0]
     cnum, cden = model.channel._num, model.channel._den
     per_input = Counter()
-    for j, c in counts.items():
-        per_input[j // ny] += c
+    for x, _, c in cells:
+        per_input[x] += c
     live = [
         m
         for m, p in enumerate(prior)
-        if p and all(cnum[m * nx + j // ny][j % ny] for j in counts)
+        if p and all(cnum[m * nx + x][y] for x, y, _ in cells)
     ]
     if not live or not all(px[x] for x in per_input):
         raise ZeroLikelihoodBatch(
             "observation tuple has zero mass under the prior predictive"
         )
     values = {prior[m] for m in live}
-    values.update(cnum[m * nx + j // ny][j % ny] for j in counts for m in live)
+    values.update(cnum[m * nx + x][y] for x, y, _ in cells for m in live)
     values.update(cden[m * nx + x] for x in per_input for m in live)
     split = {v: _split_small(v) for v in values}
     exponents, tops, bottoms = [], [], []
     for m in live:
-        e, top = split[prior[m]]
-        e = list(e)
+        ej, top = split[prior[m]]
+        e = [0] * len(_SMALL_PRIMES)
+        for k, v in ej:
+            e[k] = v
         top_powers, bottom_powers = [top], []
-        for j, c in counts.items():
-            ej, rest = split[cnum[m * nx + j // ny][j % ny]]
-            for k, v in enumerate(ej):
+        for x, y, c in cells:
+            ej, rest = split[cnum[m * nx + x][y]]
+            for k, v in ej:
                 e[k] += c * v
-            top_powers.append(rest**c)
+            if rest != 1:
+                top_powers.append(rest**c)
         for x, c in per_input.items():
             ej, rest = split[cden[m * nx + x]]
-            for k, v in enumerate(ej):
+            for k, v in ej:
                 e[k] -= c * v
-            bottom_powers.append(rest**c)
+            if rest != 1:
+                bottom_powers.append(rest**c)
         top, bottom = prod(top_powers), prod(bottom_powers)
         g = gcd(top, bottom)
         exponents.append(e)

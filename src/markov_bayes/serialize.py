@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .finstoch import (
@@ -48,11 +49,16 @@ def _typed(value, kind: type, what: str):
 
 
 def _parse_rows(rows, what: str) -> tuple:
-    """Every entry of ``rows`` as an integer pair, all parsed before any check."""
+    """Every entry of ``rows`` as an integer pair, all parsed before any check.
+
+    The rows are read as one :func:`~markov_bayes.finstoch.parse_row`, so
+    each distinct entry text in the whole table is parsed once.
+    """
     for i, row in enumerate(_typed(rows, list, what)):
         if not isinstance(row, (list, tuple)):
             _typed(row, list, f"{what} row {i}")
-    return tuple([parse_row(row) for row in rows])
+    pairs = iter(parse_row([text for row in rows for text in row]))
+    return tuple([tuple(islice(pairs, len(row))) for row in rows])
 
 
 def space_to_json(s: FinSpace) -> dict:
@@ -100,13 +106,18 @@ def state_to_map(st: State) -> dict:
 
     A factored state with no rough part, as the batch update mostly leaves,
     prints from its exact decimal view, and its binary row is never built.
+    Either way each distinct denominator is converted to text once.
     """
     if len(st.source) != 1:
         raise ValueError(f"{st!r} is not a state")
     decimals = st._decimals
     if decimals is None:
         return dict(zip(st.target.elements, format_row(st._terms[0])))
-    return {label: f"{p}/{q}" for label, (p, q) in zip(st.target.elements, decimals[2])}
+    dens = {}
+    return {
+        label: f"{p}/{dens.get(q) or dens.setdefault(q, str(q))}"
+        for label, (p, q) in zip(st.target.elements, decimals[2])
+    }
 
 
 def state_from_map(space: FinSpace, mapping: dict) -> State:

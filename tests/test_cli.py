@@ -153,8 +153,8 @@ BATCH_GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BATCH_GOLDEN_SHA256))
-def test_learn_batch_output_is_byte_for_byte_pinned(capsys, tmp_path, case):
+def _batch_case(tmp_path, case: str) -> tuple[str, str]:
+    """The bundle and training CSV files of a pinned batch case."""
     rng = random.Random(case)
     if case.startswith("grid"):
         bundle, n = _grid_bundle(rng, 50, 5, 5), 2000
@@ -165,9 +165,37 @@ def test_learn_batch_output_is_byte_for_byte_pinned(capsys, tmp_path, case):
     xs, ys = bundle["input"]["elements"], bundle["output"]["elements"]
     csv = tmp_path / "train.csv"
     csv.write_text("x,y\n" + "".join(f"{rng.choice(xs)},{rng.choice(ys)}\n" for _ in range(n)))
-    code, out, err = run(capsys, "learn", write_json(tmp_path, "b.json", bundle), str(csv))
+    return write_json(tmp_path, "b.json", bundle), str(csv)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_GOLDEN_SHA256))
+def test_learn_batch_output_is_byte_for_byte_pinned(capsys, tmp_path, case):
+    code, out, err = run(capsys, "learn", *_batch_case(tmp_path, case))
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_GOLDEN_SHA256[case]
+
+
+#: sha256 of the stdout of ``predict`` at the last input label, from the
+#: posterior ``learn --mode batch`` writes for each batch case above; the
+#: grid and two-point posteriors are past the 4,300-digit limit.  Recorded
+#: before the reader converted each distinct text and denominator once.
+PREDICT_GOLDEN_SHA256 = {
+    "grid-50x5x5-n2000": "7b9c8ae96d30bedf40143e40818678bfa8d1319eaf84b48b6bd13efd76a98752",
+    "two-point-n6000": "e3fecb32d27a3d6acefbace1e5e4bbab650c56fd79bc2997502f711b3dddc751",
+    "rough-n900": "bbcdc1f1fdca0b0a8d2948eb22f834d084f7d7c4af8d25f204f6e70bdbb50ad8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICT_GOLDEN_SHA256))
+def test_predict_output_is_byte_for_byte_pinned(capsys, tmp_path, case):
+    bundle, csv = _batch_case(tmp_path, case)
+    post = tmp_path / "post.json"
+    code, _, err = run(capsys, "learn", bundle, csv, "--out", str(post))
+    assert code == 0, err
+    x_star = json.loads(Path(bundle).read_text())["input"]["elements"][-1]
+    code, out, err = run(capsys, "predict", bundle, str(post), x_star)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PREDICT_GOLDEN_SHA256[case]
 
 
 def test_learn_trace_tsv(capsys, tmp_path):
