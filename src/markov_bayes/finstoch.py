@@ -19,7 +19,8 @@ view that is built on first read and cached.
 Rationals are read and written as ``"p/q"`` text without that view.
 :func:`format_row` renders a row from the cached ``_terms`` view, each entry
 as its own lowest-terms integer pair, converting each distinct denominator
-once; :func:`parse_row` reads each entry straight to an integer pair.  A
+once; :func:`parse_row` reads each distinct entry text once, straight to
+an integer pair, converting each distinct denominator once.  A
 state that holds its weights factored, as the batch update leaves them,
 builds its integer row on first read and has an exact decimal view.
 Integers past 2048 bits or 600 digits convert divide-and-conquer, so
@@ -359,8 +360,9 @@ def _checked_rows(source: FinSpace, target: FinSpace, rows):
     one exactly.  Over the lcm ``d`` of a row's denominators the entries
     are integers that sum to ``d``, so ``gcd(d, *ints)`` is their gcd, and
     dividing them and ``d`` by it puts the row in lowest terms.  Led by
-    ``d``, the chain stops at its first step for a row written over one
-    shared denominator, and takes no gcd of two long numerators.
+    ``d``, the chain is 1, and stops, at the first entry already in lowest
+    terms over ``d``, so a row written over one shared denominator takes
+    no gcd of two long numerators.
     """
     if len(rows) != len(source):
         raise ValueError(

@@ -262,6 +262,25 @@ def test_learn_batch_prints_posteriors_past_the_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("x0,y9", "label 'y9' is not in space 'Y'"),
+        ("x9,y0", "label 'x9' is not in space 'X'"),
+        ("x9,y9", "label 'x9' is not in space 'X'"),
+    ],
+)
+def test_learn_names_the_first_unknown_label_after_repeated_pairs(capsys, tmp_path, bad, message):
+    # the batch route counts the pairs before it indexes them; the label
+    # it names is still the first unknown one in the file, as on seq
+    csv = tmp_path / "train.csv"
+    csv.write_text("x,y\n" + "x0,y0\nx0,y1\n" * 300 + f"{bad}\n" + "x0,y0\n" * 50 + "x8,y8\n")
+    for mode in ("seq", "batch"):
+        code, out, err = run(capsys, "learn", BUNDLE, str(csv), "--mode", mode)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "validation", "type": "UnknownLabel", "message": message}
+
+
 def test_learn_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "learn", str(tmp_path / "nope.json"), CSV)
     assert code == 1

@@ -198,6 +198,44 @@ FUZZ = settings(
 )
 
 
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # an invalid text repeated in a row and across rows
+        (("channel",), [["1/0", "1/0"], ["1/0", "1/0"]], "not a rational: '1/0'"),
+        (("prior",), {"m0": "1e999999999", "m1": "1e999999999"},
+         "rational '1e999999999' has exponent 999999999, beyond the bound of 1100 for its length"),
+        # every entry is parsed before any row is checked, first bad one first
+        (("channel",), [["3/2", "-1/2"], ["x", "x"]], "not a rational: 'x'"),
+        # two spellings of one half, then a text repeated in a bad row
+        (("channel",), [["1/2 ", "2/4"], ["1/3", "1/3"]], "row 1 sums to 2/3, not 1"),
+        # entries of other JSON types than strings
+        (("channel", 1), ["1/2", 1], "not a rational: 1"),
+        (("channel", 0), [["1/2"], "1/2"], "not a rational: ['1/2']"),
+        (("channel", 0), [None, "1"], "not a rational: None"),
+        (("channel", 1), [{"p": ["1/2"]}, "1/2"], "not a rational: {'p': ['1/2']}"),
+        (("input_state", "x0"), True, "not a rational: True"),
+    ],
+)
+def test_learn_reports_the_first_bad_entry(workdir, path, value, message):
+    bundle = _write(workdir, "bundle.json", json.dumps(_with(BUNDLE, path, value)))
+    csv = _write(workdir, "train.csv", CSV)
+    for mode in ("seq", "batch"):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["learn", bundle, csv, "--mode", mode])
+        assert code == 1
+        assert json.loads(err.getvalue()) == {
+            "error": "validation", "type": "ValueError", "message": message
+        }
+
+
 @FUZZ
 @given(st.data())
 def test_learn_survives_malformed_bundles_and_csvs(workdir, data):

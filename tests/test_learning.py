@@ -160,6 +160,14 @@ def test_sequential_rejects_unknown_labels(two_point_model):
         sequential_update(two_point_model, pairs(("x0", "y9")))
 
 
+def test_both_routes_name_an_unhashable_label_as_unknown(two_point_model):
+    # the batch route counts the pairs in a dict before it indexes them
+    data = pairs(("x0", "y0"), (["x0"], "y0"))
+    for update in (sequential_update, batch_update):
+        with pytest.raises(UnknownLabel, match=r"\['x0'\]"):
+            update(two_point_model, data)
+
+
 def _dead_model():
     # every parameter puts all its mass on y0, so observing y1 is impossible
     m = FinSpace("M", ("m0", "m1"))
@@ -321,6 +329,65 @@ def test_sequential_and_batch_coincide_on_heavy_repeats(seed):
     rng.shuffle(observed)
     data = TrainingSet(tuple(observed))
     assert sequential_update(model, data).final == batch_update(model, data)
+
+
+def _zeros_and_rough_primes_model(rng: random.Random) -> Model:
+    """Zero prior and channel entries, and the primes 53 and 59, which the
+    batch update does not factor out, in numerators (``53/59``) and in row
+    sums (``1/53``)."""
+    pool = (0, 0, 0, 1, 2, 3, 4, 6, 52, 53, 59)
+
+    def row(k):
+        w = [rng.choice(pool) for _ in range(k)]
+        w[rng.randrange(k)] = rng.choice((1, 6, 53, 59))
+        return tuple(Fraction(v, sum(w)) for v in w)
+
+    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(2, 4))))
+    x = FinSpace("X", tuple(f"x{i}" for i in range(rng.randint(1, 2))))
+    y = FinSpace("Y", tuple(f"y{i}" for i in range(rng.randint(2, 3))))
+    channel = Kernel(product(m, x), y, tuple(row(len(y)) for _ in range(len(m) * len(x))))
+    return Model(m, state(m, row(len(m))), x, state(x, row(len(x))), y, channel)
+
+
+def test_batch_routes_agree_on_zeros_rough_primes_and_repeats():
+    """The batch update is the literal replicated-channel posterior at small
+    n and the sequential final state at any n, or all refuse together, on
+    models with zero entries and rough primes and on data that repeat a few
+    pairs up to hundreds of times."""
+    seen = dict.fromkeys(("zero prior", "zero channel", "rough", "literal", "repeats", "dead"), 0)
+    for seed in range(160):
+        rng = random.Random(seed)
+        model = _zeros_and_rough_primes_model(rng)
+        seen["zero prior"] += 0 in model.prior._num[0]
+        seen["zero channel"] += any(0 in row for row in model.channel._num)
+        seen["rough"] += any(d % 53 == 0 or d % 59 == 0 for d in model.channel._den)
+        base = list(rand_observations(rng, model, rng.randint(1, 3)))
+        small = seed % 2 == 0
+        n = rng.randint(1, 3) if small else rng.randint(100, 300)
+        observed = [rng.choice(base) for _ in range(n)]
+        if rng.random() < 0.5:
+            # a pair that may have zero mass under every live parameter
+            xs, ys = model.input_space.elements, model.output_space.elements
+            observed[rng.randrange(n)] = (rng.choice(xs), rng.choice(ys))
+        data = TrainingSet(tuple(observed))
+        try:
+            want = sequential_update(model, data).final
+        except ZeroLikelihoodObservation:
+            seen["dead"] += 1
+            with pytest.raises(ZeroLikelihoodBatch):
+                batch_update(model, data)
+            if small:
+                with pytest.raises(ZeroLikelihoodBatch):
+                    batch_update_literal(model, data)
+            continue
+        got = batch_update(model, data)
+        assert got == want
+        if small:
+            seen["literal"] += 1
+            assert got == batch_update_literal(model, data)
+        else:
+            seen["repeats"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_batch_removes_a_large_prime_shared_across_columns():

@@ -1,0 +1,160 @@
+"""Mutation checks: every named mutant of the source must fail its tests.
+
+    python3 tools/mutants.py [NAME ...]
+
+A mutant is a file under ``src/``, an exact text that occurs there once,
+the text that replaces it, and the tests that must fail when it does.  The
+checkout's ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
+temporary directory once, and every named test must pass there before
+any mutant is applied.  Then each mutant is applied in turn, only its
+tests run (``python3 -m pytest -x``), and the file is restored.  A mutant
+whose tests pass survives.  The exit status is 0 when every mutant run was
+killed, 1 when one survived, and 2 when the unmutated tests fail or a
+mutant could not be applied or its tests could not be collected.  With
+names, only those mutants run.  Needs the standard library and pytest only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Seconds one mutant's tests may take before the run counts as an error.
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = {
+    # the batch update's exponent sum and observation counts
+    "count-factor-dropped": Mutant(
+        "src/markov_bayes/learning.py",
+        "e[k] += c * v",
+        "e[k] += v",
+        ("tests/test_learning.py::test_batch_routes_agree_on_zeros_rough_primes_and_repeats",),
+    ),
+    "pair-multiplicity-lost": Mutant(
+        "src/markov_bayes/learning.py",
+        "seen = Counter(data.pairs)",
+        "seen = dict.fromkeys(data.pairs, 1)",
+        ("tests/test_learning.py::test_batch_routes_agree_on_zeros_rough_primes_and_repeats",),
+    ),
+    # the reader's memo and its row reduction
+    "memo-shares-a-pair": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "pairs.get(t) or pairs.setdefault(t, ",
+        "pairs.get(len(t)) or pairs.setdefault(len(t), ",
+        ("tests/test_cli.py::test_learn_batch_worked_example",),
+    ),
+    "row-gcd-of-d-alone": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "c = gcd(d, *ints)",
+        "c = gcd(d)",
+        ("tests/test_cli.py::test_predict_output_is_byte_for_byte_pinned",),
+    ),
+    # the lowest-terms view, the sequential step, the batch render, ps
+    "terms-g-taken-as-1": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "g = gcd(d, r)",
+        "g = 1",
+        ("tests/test_closure.py::test_terms_take_each_entrys_own_gcd",),
+    ),
+    "seq-step-reads-row-1": Mutant(
+        "src/markov_bayes/learning.py",
+        "(inverse._num[0],), (inverse._den[0],)",
+        "(inverse._num[1],), (inverse._den[1],)",
+        ("tests/test_learning.py::test_each_sequential_step_is_the_full_inverse_at_the_observed_column",),
+    ),
+    "zero-likelihood-check-dropped": Mutant(
+        "src/markov_bayes/learning.py",
+        "if not any(p and row[j] for p, row in zip(current._num[0], fj._num)):",
+        "if False:",
+        ("tests/test_learning.py::test_each_sequential_step_is_the_full_inverse_at_the_observed_column",),
+    ),
+    "expand-valuations-zero": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "valuation.append(v)",
+        "valuation.append(0)",
+        ("tests/test_exact_io.py::test_batch_posterior_prints_as_the_binary_route_does",),
+    ),
+    "ps-induced-not-canonical": Mutant(
+        "src/markov_bayes/ps.py",
+        "_ps_trusted(src, dst, canonicalize(f, src.state))",
+        "_ps_trusted(src, dst, f)",
+        ("tests/test_closure.py::test_ps_operations_preserve_states_in_normal_form",),
+    ),
+}
+
+
+def run(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(
+                ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def pytest(tests) -> int | None:
+            try:
+                return subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                     *tests],
+                    cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+                ).returncode
+            except subprocess.TimeoutExpired:
+                return None
+
+        names = names or list(MUTANTS)
+        clean = pytest(sorted({test for name in names for test in MUTANTS[name].tests}))
+        if clean != 0:
+            print(f"ERROR     the unmutated tests do not pass (pytest exited {clean})")
+            return 2
+        for name in names:
+            mutant = MUTANTS[name]
+            path = work / mutant.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(mutant.old) != 1:
+                print(f"ERROR     {name}: its text does not occur exactly once in {mutant.file}")
+                status = 2
+                continue
+            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = pytest(mutant.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            elapsed = time.perf_counter() - start
+            if code == 1:
+                print(f"killed    {name} ({elapsed:.1f} s)")
+            elif code == 0:
+                print(f"SURVIVED  {name}: {' '.join(mutant.tests)} passed")
+                status = max(status, 1)
+            else:
+                reason = "timed out" if code is None else f"pytest exited {code}"
+                print(f"ERROR     {name}: {reason}")
+                status = 2
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))
