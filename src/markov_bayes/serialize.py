@@ -49,11 +49,9 @@ def _typed(value, kind: type, what: str):
 
 
 def _parse_rows(rows, what: str) -> tuple:
-    """Every entry of ``rows`` as an integer pair, all parsed before any check.
-
-    The rows are read as one :func:`~markov_bayes.finstoch.parse_row`, so
-    each distinct entry text in the whole table is parsed once.
-    """
+    """Every entry of ``rows`` as an integer pair, all parsed before any check
+    and in one :func:`~markov_bayes.finstoch.parse_row`, so each distinct
+    entry text in the whole table is parsed once."""
     for i, row in enumerate(_typed(rows, list, what)):
         if not isinstance(row, (list, tuple)):
             _typed(row, list, f"{what} row {i}")
