@@ -150,8 +150,8 @@ def cmd_invert(args) -> int:
 
 def _argmax_label(st) -> str:
     """The first most probable label, read off the weights over the row's
-    one denominator: a factored state's decimal weights when it has them,
-    so its binary row is not built, else the integer numerators."""
+    one denominator: a factored state's decimal weights, so its binary row
+    is not built, else the integer numerators."""
     num = (st._decimals or st._num)[0]
     best = max(range(len(num)), key=num.__getitem__)
     return st.target.elements[best]

@@ -20,9 +20,9 @@ Rationals are read and written as ``"p/q"`` text without that view.
 :func:`format_row` renders a row from the cached ``_terms`` view, each entry
 as its own lowest-terms integer pair, converting each distinct denominator
 once; :func:`parse_row` reads each distinct entry text once, straight to
-an integer pair, converting each distinct denominator once.  A
-state that holds its weights factored, as the batch update leaves them,
-builds its integer row on first read and has an exact decimal view.
+an integer pair, converting each distinct denominator once.  A batch
+posterior holds its weights as exponents over a coprime base, builds its
+integer row on first read and prints from an exact decimal view.
 Integers past 2048 bits or 600 digits convert divide-and-conquer, so
 neither direction is quadratic in the length of the number, and the
 interpreter's int-to-string digit limit is never reached or changed.
@@ -91,8 +91,8 @@ _TWO = Decimal(2)
 def _int_text(n: int) -> str:
     """``str(n)`` at any length.
 
-    A factored state with no rough part is printed from its decimal view
-    and never comes here; every other row does.
+    A factored state is printed from its decimal view and never comes
+    here; every other row does.
     Past ``_DIRECT_BITS`` the integer is split into ``hi * 2**k + lo`` at
     half its bits, both halves are converted recursively to
     :class:`Decimal`, and they are recombined in exact decimal arithmetic,
@@ -391,46 +391,73 @@ def _checked_rows(source: FinSpace, target: FinSpace, rows):
     return tuple(num), tuple(den)
 
 
-#: Primes a factored state carries as exponents.  Channels of small
-#: rationals have entries that factor over these, so most of the
-#: cancellation between posterior weights is exponent arithmetic.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+def _coprime_base(values) -> tuple[int, ...]:
+    """Pairwise-coprime integers above 1, ascending, with each of ``values``
+    a product of their powers.  Plain pairwise gcd refinement: quadratic,
+    where Bernstein (J. Algorithms 54, 2005) is essentially linear, and
+    cheap for a model's few values."""
+    base, pending = [], list(values)
+    while pending:
+        a = pending.pop()
+        if a == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending += (g, a // g, b // g)
+                break
+        else:
+            base.append(a)
+    return tuple(sorted(base))
 
 
-def _expand(factors, width: int, one) -> tuple:
+def _split(v: int, base) -> list[tuple[int, int]]:
+    """The nonzero ``(index, exponent)`` pairs of ``v`` over ``base``."""
+    exponents = []
+    for k, b in enumerate(base):
+        e = 0
+        while v % b == 0:
+            v //= b
+            e += 1
+        if e:
+            exponents.append((k, e))
+    return exponents
+
+
+def _expand(base, factors, width: int, one) -> tuple:
     """The weights of a factored row, their total and each entry's
     lowest-terms pair, in ``int`` or exact :class:`Decimal` arithmetic as
     ``one`` is.
 
-    ``factors`` holds one ``(m, shift, rough)`` per nonzero entry ``m``: its
-    weight is ``rough``, which has no prime below 50, times ``_SMALL_PRIMES``
-    to the exponents ``shift``.  A weight is raised to all its exponents at
-    once, high bit first: a squaring, then a product with the primes whose
-    exponent has that bit set, which is below ``10**19`` and so one word of
-    a :class:`Decimal`.  Its gcd with the total is the small primes to at
-    most their exponent in the total, found with ``%``, times the gcd of the
-    rough part with the total, which needs no big gcd when the rough part
-    is 1.  A zero entry is ``(0, 1)``.
+    ``factors`` holds one ``(m, shift)`` per nonzero entry ``m``: its weight
+    is the coprime ``base`` to the exponents ``shift``, raised high bit
+    first, a squaring and then a product with the elements whose exponent
+    has that bit set.  Its gcd with the total is the product over elements
+    ``b`` of ``c[s] = gcd(b**s, total)``, where ``c[0] = 1`` and
+    ``c[k + 1] = c[k] * gcd(b, total // c[k] % b)`` needs no big gcd and
+    stays put once that factor is 1.  A zero entry is ``(0, 1)``.
     """
     weights = [0] * width
-    for m, shift, rough in factors:
+    for m, shift in factors:
         w = one
-        for bit in reversed(range(max(shift).bit_length())):
-            w = w * w * prod(q for q, s in zip(_SMALL_PRIMES, shift) if s >> bit & 1)
-        weights[m] = w * rough
+        for bit in reversed(range(max(shift, default=0).bit_length())):
+            w = w * w * prod(b for b, s in zip(base, shift) if s >> bit & 1)
+        weights[m] = w
     total = sum(weights)
-    valuation = []
-    for q, cap in zip(_SMALL_PRIMES, map(max, zip(*[s for _, s, _ in factors]))):
-        v, rest = 0, total
-        while v < cap and rest % q == 0:
-            rest //= q
-            v += 1
-        valuation.append(v)
+    chains = []
+    for b, cap in zip(base, map(max, zip(*[s for _, s in factors]))):
+        chain, rest = [1], total
+        while len(chain) <= cap:
+            g = gcd(b, int(rest % b))
+            if g == 1:
+                break
+            chain.append(chain[-1] * g)
+            rest //= g
+        chains.append(chain)
     terms = [(0, 1)] * width
-    for m, shift, rough in factors:
-        g = prod(q ** min(s, v) for q, s, v in zip(_SMALL_PRIMES, shift, valuation) if v)
-        if rough != 1:
-            g *= gcd(rough, total)
+    for m, shift in factors:
+        g = prod(c[min(s, len(c) - 1)] for c, s in zip(chains, shift))
         w = weights[m]
         terms[m] = (w, total) if g == 1 else (w // g, total // g)
     return tuple(weights), total, tuple(terms)
@@ -519,16 +546,16 @@ class Kernel:
     @cached_property
     def _ints(self) -> tuple:
         """A factored state's weights, total and lowest terms, as integers."""
-        return _expand(self._factors, len(self.target), 1)
+        return _expand(*self._factors, len(self.target), 1)
 
     @cached_property
     def _decimals(self) -> tuple | None:
         """A factored state's weights, total and lowest terms in exact
-        decimal; ``None`` when there is no record or a rough part is not 1."""
-        if self._factors is None or any(r != 1 for _, _, r in self._factors):
+        decimal; ``None`` when there is no record."""
+        if self._factors is None:
             return None
         with localcontext(_EXACT):
-            return _expand(self._factors, len(self.target), Decimal(1))
+            return _expand(*self._factors, len(self.target), Decimal(1))
 
     @cached_property
     def _terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -607,11 +634,11 @@ def _trusted(source: FinSpace, target: FinSpace, num, den) -> Kernel:
     return k
 
 
-def _factored(target: FinSpace, factors) -> State:
-    """The state on ``target`` of weights factored as :func:`_expand` reads
-    them, with gcd 1; its integer row is built on first read."""
+def _factored(target: FinSpace, base, factors) -> State:
+    """The state on ``target`` of weights over ``base`` as :func:`_expand`
+    reads them, with gcd 1; its integer row is built on first read."""
     k = object.__new__(Kernel)
-    k.__dict__.update(source=UNIT, target=target, _map=None, _factors=factors)
+    k.__dict__.update(source=UNIT, target=target, _map=None, _factors=(base, factors))
     return k
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .conditioning import invert, is_uniquely_invertible_at
 from .errors import (
@@ -40,8 +40,9 @@ from .finstoch import (
     FinSpace,
     Kernel,
     State,
-    _SMALL_PRIMES,
+    _coprime_base,
     _factored,
+    _split,
     _trusted,
     compose,
     copy,
@@ -247,20 +248,6 @@ def batch_update_literal(model: Model, data: TrainingSet) -> State:
     return compose(delta(chan.target, label), invert(chan, model.prior))
 
 
-def _split_small(v: int) -> tuple[list[tuple[int, int]], int]:
-    """The ``(index, exponent)`` of each small prime that divides ``v``, in
-    ``_SMALL_PRIMES`` order, and the rest of ``v``."""
-    exponents = []
-    for k, q in enumerate(_SMALL_PRIMES):
-        e = 0
-        while v % q == 0:
-            v //= q
-            e += 1
-        if e:
-            exponents.append((k, e))
-    return exponents, v
-
-
 def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     """Batch posterior through the per-parameter likelihood product.
 
@@ -274,21 +261,18 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
 
     The observations are counted first, and each distinct pair is indexed
     once, in order of first occurrence, so the first unknown label raised
-    is the first in the data.  Each weight is a fraction of small integers
-    raised to the counts.  The small primes are carried as exponents: each
-    distinct model value is split once per call into the small primes that
-    divide it, and a parameter's exponents add only those.  What is left of
-    each weight is reduced on its own; over the lcm of those denominators
-    the weights' common factor is then the gcd of their numerators, so no
-    gcd is taken of two weights over the common denominator.
+    is the first in the data.  Each weight is a fraction of the model's
+    integers raised to the counts, so it is carried as exponents over a
+    coprime base of those integers (the live priors, the observed channel
+    numerators and the observed inputs' row sums), computed per call.  Each
+    distinct value is split once over the base, and a parameter's
+    exponents add only its nonzero ones.
 
-    The update stops at that factored form: it returns a state that holds,
-    for each live parameter, its small-prime exponents above their least
-    over the live parameters and its rough part, which has no prime below
-    50 and is 1 for every channel of small rationals.  The binary weights,
-    their total and each entry's lowest terms are built from it when
-    something first reads them; the writers render a state whose rough
-    parts are all 1 straight from it in exact decimal, and never build them.
+    The update stops at that factored form: the state it returns holds the
+    base and each live parameter's exponents above their least over the
+    live parameters, so the weights have gcd 1 with no gcd taken.  Its
+    binary row is built when something first reads it; the writers print
+    it from exact decimal and never build it.
     """
     nx = len(model.input_space)
     try:
@@ -319,40 +303,26 @@ def batch_update_factorized(model: Model, data: TrainingSet) -> State:
     values = {prior[m] for m in live}
     values.update(cnum[m * nx + x][y] for x, y, _ in cells for m in live)
     values.update(cden[m * nx + x] for x in per_input for m in live)
-    split = {v: _split_small(v) for v in values}
-    exponents, tops, bottoms = [], [], []
+    base = _coprime_base(values)
+    split = {v: _split(v, base) for v in values}
+    exponents = []
     for m in live:
-        ej, top = split[prior[m]]
-        e = [0] * len(_SMALL_PRIMES)
-        for k, v in ej:
+        e = [0] * len(base)
+        for k, v in split[prior[m]]:
             e[k] = v
-        top_powers, bottom_powers = [top], []
         for x, y, c in cells:
-            ej, rest = split[cnum[m * nx + x][y]]
-            for k, v in ej:
+            for k, v in split[cnum[m * nx + x][y]]:
                 e[k] += c * v
-            if rest != 1:
-                top_powers.append(rest**c)
         for x, c in per_input.items():
-            ej, rest = split[cden[m * nx + x]]
-            for k, v in ej:
+            for k, v in split[cden[m * nx + x]]:
                 e[k] -= c * v
-            if rest != 1:
-                bottom_powers.append(rest**c)
-        top, bottom = prod(top_powers), prod(bottom_powers)
-        g = gcd(top, bottom)
         exponents.append(e)
-        tops.append(top // g)
-        bottoms.append(bottom // g)
     least = [min(col) for col in zip(*exponents)]
-    scale = lcm(*bottoms)
-    # a prime of every reduced top divides no bottom, so none of the scale
-    common = gcd(*tops)
     factors = tuple(
-        (m, tuple([x - low for x, low in zip(e, least)]), (top // common) * (scale // bottom))
-        for m, e, top, bottom in zip(live, exponents, tops, bottoms)
+        (m, tuple([x - low for x, low in zip(e, least)]))
+        for m, e in zip(live, exponents)
     )
-    return _factored(model.params, factors)
+    return _factored(model.params, base, factors)
 
 
 def batch_update(model: Model, data: TrainingSet) -> State:

@@ -102,9 +102,9 @@ def kernel_from_json(doc: dict) -> Kernel:
 def state_to_map(st: State) -> dict:
     """A state as a label-to-rational mapping, in space order.
 
-    A factored state with no rough part, as the batch update mostly leaves,
-    prints from its exact decimal view, and its binary row is never built.
-    Either way each distinct denominator is converted to text once.
+    A factored state, as the batch update leaves, prints from its exact
+    decimal view, and its binary row is never built.  Either way each
+    distinct denominator is converted to text once.
     """
     if len(st.source) != 1:
         raise ValueError(f"{st!r} is not a state")

@@ -128,8 +128,8 @@ def test_learn_seq_output_is_byte_for_byte_pinned(capsys, tmp_path):
 
 
 def _rough_bundle() -> dict:
-    """Two inputs, a zero prior entry, and channel entries over 53 and 59,
-    primes the batch update does not factor out."""
+    """Two inputs, a zero prior entry, and channel entries over the primes
+    53 and 59."""
     return {
         "params": {"name": "M", "elements": ["m0", "m1", "m2"]},
         "prior": {"m0": "0/1", "m1": "1/3", "m2": "2/3"},

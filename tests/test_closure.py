@@ -208,8 +208,8 @@ def test_learning_results_are_closed():
     assert steps > len(SEEDS)
 
 
-#: Weights whose ratios mix small primes with the primes 53 and 59, which
-#: the batch update does not track as exponents.
+#: Weights whose ratios mix small primes with the primes 53 and 59, so the
+#: batch update's coprime base has elements above 50.
 _WEIGHTS = (1, 2, 3, 4, 6, 53, 59, 106, 118, 159, 177)
 
 
@@ -231,8 +231,7 @@ def _rough_model(rng: random.Random) -> Model:
 def test_batch_update_supplies_each_entrys_lowest_terms():
     """The per-entry view built from the batch update's factored record is
     the one ``math.gcd`` gives, including entries whose gcd with the total
-    has small primes and entries whose gcd has a prime the update does not
-    track."""
+    has small primes and entries whose gcd has a prime above 50."""
     small_gcds = rough_gcds = 0
     for seed in range(600):
         rng = random.Random(seed)

@@ -35,6 +35,7 @@ from markov_bayes.cli import _argmax_label, main
 from markov_bayes.finstoch import (
     UNIT,
     _digits_int,
+    _factored,
     _int_text,
     _trusted,
     format_rat,
@@ -374,9 +375,9 @@ def _differential_model(rng: random.Random, rough: bool) -> Model:
 def test_batch_posterior_prints_as_the_binary_route_does():
     """The decimal rendering of a batch posterior is ``format_row`` of the
     lowest terms that the sequential route's state gives by its own gcds,
-    and the state is that state, at counts up to a few thousand."""
-    routes = {"decimal": 0, "binary": 0}
-    reduced = zeros = 0
+    and the state is that state, at counts up to a few thousand.  Every
+    batch posterior prints from decimal, the primes 53 and 59 included."""
+    rough = reduced = zeros = 0
     for seed in range(60):
         rng = random.Random(seed)
         model = _differential_model(rng, rough=seed % 3 == 0)
@@ -385,21 +386,32 @@ def test_batch_posterior_prints_as_the_binary_route_does():
         data = TrainingSet(tuple((rng.choice(xs), rng.choice(ys)) for _ in range(n)))
         post = batch_update(model, data)
         printed = state_to_map(post)
-        route = "binary" if post._decimals is None else "decimal"
-        routes[route] += 1
-        if route == "decimal":
-            assert "_ints" not in vars(post)
+        assert post._decimals is not None
+        assert "_ints" not in vars(post)
+        rough += seed % 3 == 0
         final = sequential_update(model, data).final
         assert post == final
         assert list(printed.values()) == format_row(final._terms[0])
         assert list(printed.values()) == format_row(post._terms[0])
-        # entries whose small gcd with the total is not 1
-        reduced += route == "decimal" and any(
-            q not in (1, post._den[0]) for _, q in post._terms[0]
-        )
+        # entries whose gcd with the total is not 1
+        reduced += any(q not in (1, post._den[0]) for _, q in post._terms[0])
         zeros += "0/1" in printed.values()
-    assert min(routes.values()) > 10 and reduced > 2 and zeros > 5, (routes, reduced, zeros)
+    assert rough > 10 and reduced > 2 and zeros > 5, (rough, reduced, zeros)
 
+
+
+def test_a_composite_base_element_divides_out_only_its_shared_part():
+    """With ``3127 = 53 * 59`` one element of the base, the weight 3127 over
+    the total ``3180 = 53 * 60`` is 59/60: the gcd chain takes 53 alone."""
+    space = FinSpace("M", ("m0", "m1", "m2"))
+    # the weights 3127, 2 and 51 = 3 * 17
+    base = (2, 3, 17, 3127)
+    factors = ((0, (0, 0, 0, 1)), (1, (1, 0, 0, 0)), (2, (0, 1, 1, 0)))
+    post = _factored(space, base, factors)
+    printed = state_to_map(post)
+    assert printed == {"m0": "59/60", "m1": "1/1590", "m2": "17/1060"}
+    assert post == state(space, ("3127/3180", "2/3180", "51/3180"))
+    assert format_row(post._terms[0]) == list(printed.values())
 
 # ---------- the command line, byte for byte ----------
 

@@ -1,10 +1,12 @@
 """Spaces, kernels, and the symmetric monoidal structure."""
 
 import gc
+import itertools
 import random
 import sys
 import weakref
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -37,7 +39,7 @@ from markov_bayes import (
     tensor,
     uniform_state,
 )
-from markov_bayes.finstoch import format_rat, parse_rat
+from markov_bayes.finstoch import _coprime_base, _split, format_rat, parse_rat
 from markov_bayes.sampling import rand_kernel, rand_space
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -134,6 +136,24 @@ def test_parse_and_format_rat():
     assert parse_rat(text) == q
     assert sys.get_int_max_str_digits() == limit
 
+
+
+def test_coprime_base_splits_every_value_over_pairwise_coprime_elements():
+    rng = random.Random(22)
+    factors = (1, 2, 6, 9, 53, 59, 3127, 2**61 - 1, 10**40)
+    for _ in range(200):
+        values = {
+            rng.choice(factors) * rng.choice(factors) * rng.randint(1, 60)
+            for _ in range(rng.randint(1, 6))
+        }
+        base = _coprime_base(values)
+        assert list(base) == sorted(base) and min(base, default=2) > 1
+        assert all(gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        for v in values:
+            assert prod(base[k] ** e for k, e in _split(v, base)) == v
+    assert _coprime_base({1}) == ()
+    assert _coprime_base({6, 4}) == (2, 3)
+    assert _coprime_base({3127, 6, 53}) == (6, 53, 59)
 
 # ---------- kernel construction ----------
 

@@ -331,63 +331,96 @@ def test_sequential_and_batch_coincide_on_heavy_repeats(seed):
     assert sequential_update(model, data).final == batch_update(model, data)
 
 
-def _zeros_and_rough_primes_model(rng: random.Random) -> Model:
-    """Zero prior and channel entries, and the primes 53 and 59, which the
-    batch update does not factor out, in numerators (``53/59``) and in row
-    sums (``1/53``)."""
-    pool = (0, 0, 0, 1, 2, 3, 4, 6, 52, 53, 59)
+#: Per kind of model: its entry weights, the weights one entry of each row
+#: is drawn from, and the range of its parameter count.
+_POOLS = {
+    # zero prior and channel entries, and the primes 53 and 59 in numerators
+    # (``53/59``) and in row sums (``1/53``)
+    "rough primes": ((0, 0, 0, 1, 2, 3, 4, 6, 52, 53, 59), (1, 6, 53, 59), (2, 4)),
+    # 3127 = 53 * 59, where neither prime occurs alone: a composite element
+    # of the coprime base
+    "composite cofactor": ((0, 0, 1, 2, 3, 3127, 6254), (1, 3127), (2, 4)),
+    # values and row sums past one machine word
+    "past a word": ((0, 1, 2, 3, 2**61 - 1, 10**40), (1, 2**61 - 1, 10**40), (2, 4)),
+    # one parameter and one-hot rows: every observed value is 1, so the base
+    # is empty
+    "all ones": ((0,), (1,), (1, 1)),
+}
+
+
+def _zeros_and_rough_primes_model(rng: random.Random, pool, lead, params) -> Model:
+    """A model whose rows are weights drawn from ``pool``, one of them from
+    ``lead`` so that no row sums to 0, with ``randint(*params)`` parameters."""
 
     def row(k):
         w = [rng.choice(pool) for _ in range(k)]
-        w[rng.randrange(k)] = rng.choice((1, 6, 53, 59))
+        w[rng.randrange(k)] = rng.choice(lead)
         return tuple(Fraction(v, sum(w)) for v in w)
 
-    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(2, 4))))
+    m = FinSpace("M", tuple(f"m{i}" for i in range(rng.randint(*params))))
     x = FinSpace("X", tuple(f"x{i}" for i in range(rng.randint(1, 2))))
     y = FinSpace("Y", tuple(f"y{i}" for i in range(rng.randint(2, 3))))
     channel = Kernel(product(m, x), y, tuple(row(len(y)) for _ in range(len(m) * len(x))))
     return Model(m, state(m, row(len(m))), x, state(x, row(len(x))), y, channel)
 
 
+def _has_rough_feature(kind: str, model: Model) -> bool:
+    """Whether ``model`` has what its kind of model is drawn for."""
+    values = [*model.channel._den, *(v for row in model.channel._num for v in row)]
+    if kind == "rough primes":
+        return any(d % 53 == 0 or d % 59 == 0 for d in model.channel._den)
+    if kind == "composite cofactor":
+        return any(v and v % 3127 == 0 for v in values)
+    if kind == "past a word":
+        return max(values) >= 2**64
+    return len(model.params) == 1 and max(values) == 1
+
+
 def test_batch_routes_agree_on_zeros_rough_primes_and_repeats():
     """The batch update is the literal replicated-channel posterior at small
     n and the sequential final state at any n, or all refuse together, on
-    models with zero entries and rough primes and on data that repeat a few
+    models with zero entries, rough primes, a composite cofactor, values
+    past one machine word or nothing but 1s, and on data that repeat a few
     pairs up to hundreds of times."""
-    seen = dict.fromkeys(("zero prior", "zero channel", "rough", "literal", "repeats", "dead"), 0)
-    for seed in range(160):
-        rng = random.Random(seed)
-        model = _zeros_and_rough_primes_model(rng)
-        seen["zero prior"] += 0 in model.prior._num[0]
-        seen["zero channel"] += any(0 in row for row in model.channel._num)
-        seen["rough"] += any(d % 53 == 0 or d % 59 == 0 for d in model.channel._den)
-        base = list(rand_observations(rng, model, rng.randint(1, 3)))
-        small = seed % 2 == 0
-        n = rng.randint(1, 3) if small else rng.randint(100, 300)
-        observed = [rng.choice(base) for _ in range(n)]
-        if rng.random() < 0.5:
-            # a pair that may have zero mass under every live parameter
-            xs, ys = model.input_space.elements, model.output_space.elements
-            observed[rng.randrange(n)] = (rng.choice(xs), rng.choice(ys))
-        data = TrainingSet(tuple(observed))
-        try:
-            want = sequential_update(model, data).final
-        except ZeroLikelihoodObservation:
-            seen["dead"] += 1
-            with pytest.raises(ZeroLikelihoodBatch):
-                batch_update(model, data)
-            if small:
+    for kind, (pool, lead, params) in _POOLS.items():
+        seen = dict.fromkeys(
+            ("zero prior", "zero channel", "rough", "literal", "repeats", "dead"), 0
+        )
+        for seed in range(160 if kind == "rough primes" else 60):
+            rng = random.Random(seed)
+            model = _zeros_and_rough_primes_model(rng, pool, lead, params)
+            seen["zero prior"] += 0 in model.prior._num[0]
+            seen["zero channel"] += any(0 in row for row in model.channel._num)
+            seen["rough"] += _has_rough_feature(kind, model)
+            base = list(rand_observations(rng, model, rng.randint(1, 3)))
+            small = seed % 2 == 0
+            n = rng.randint(1, 3) if small else rng.randint(100, 300)
+            observed = [rng.choice(base) for _ in range(n)]
+            if rng.random() < 0.5:
+                # a pair that may have zero mass under every live parameter
+                xs, ys = model.input_space.elements, model.output_space.elements
+                observed[rng.randrange(n)] = (rng.choice(xs), rng.choice(ys))
+            data = TrainingSet(tuple(observed))
+            try:
+                want = sequential_update(model, data).final
+            except ZeroLikelihoodObservation:
+                seen["dead"] += 1
                 with pytest.raises(ZeroLikelihoodBatch):
-                    batch_update_literal(model, data)
-            continue
-        got = batch_update(model, data)
-        assert got == want
-        if small:
-            seen["literal"] += 1
-            assert got == batch_update_literal(model, data)
-        else:
-            seen["repeats"] += 1
-    assert min(seen.values()) >= 10, seen
+                    batch_update(model, data)
+                if small:
+                    with pytest.raises(ZeroLikelihoodBatch):
+                        batch_update_literal(model, data)
+                continue
+            got = batch_update(model, data)
+            assert got == want
+            if small:
+                seen["literal"] += 1
+                assert got == batch_update_literal(model, data)
+            else:
+                seen["repeats"] += 1
+        # the zeros and refusals are the first kind's to reach
+        checked = seen if kind == "rough primes" else ("rough", "literal", "repeats")
+        assert min(seen[k] for k in checked) >= 10, (kind, seen)
 
 
 def test_batch_removes_a_large_prime_shared_across_columns():

@@ -65,12 +65,25 @@ MUTANTS = {
         "c = gcd(d)",
         ("tests/test_cli.py::test_predict_output_is_byte_for_byte_pinned",),
     ),
-    # the lowest-terms view, the sequential step, the batch render, ps
+    # the lowest-terms view, the sequential step, the batch render and its
+    # base, ps
     "terms-g-taken-as-1": Mutant(
         "src/markov_bayes/finstoch.py",
         "g = gcd(d, r)",
         "g = 1",
         ("tests/test_closure.py::test_terms_take_each_entrys_own_gcd",),
+    ),
+    "terms-shortcut-widened": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "if len(support) > 2:",
+        "if len(support) > 3:",
+        ("tests/test_closure.py::test_terms_take_each_entrys_own_gcd",),
+    ),
+    "event-channel-unreduced": Mutant(
+        "src/markov_bayes/learning.py",
+        "c = gcd(p, d)",
+        "c = 1",
+        ("tests/test_closure.py::test_learning_results_are_closed",),
     ),
     "seq-step-reads-row-1": Mutant(
         "src/markov_bayes/learning.py",
@@ -84,11 +97,17 @@ MUTANTS = {
         "if False:",
         ("tests/test_learning.py::test_each_sequential_step_is_the_full_inverse_at_the_observed_column",),
     ),
-    "expand-valuations-zero": Mutant(
+    "expand-gcd-chain-flat": Mutant(
         "src/markov_bayes/finstoch.py",
-        "valuation.append(v)",
-        "valuation.append(0)",
+        "chain.append(chain[-1] * g)",
+        "chain.append(chain[-1])",
         ("tests/test_exact_io.py::test_batch_posterior_prints_as_the_binary_route_does",),
+    ),
+    "base-not-coprime": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "if g > 1:",
+        "if g > b:",
+        ("tests/test_learning.py::test_batch_cancels_a_large_prime_within_one_parameter",),
     ),
     "ps-induced-not-canonical": Mutant(
         "src/markov_bayes/ps.py",
