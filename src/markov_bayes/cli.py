@@ -93,7 +93,8 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Write ``doc`` as JSON; a non-finite float is refused, never printed."""
+    text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -203,6 +204,10 @@ def _parse_point(text: str) -> list[float]:
 
 
 def cmd_gauss(args) -> int:
+    """numpy's float warnings are off: an overflow ends in a refusal, by the
+    condition guard or :func:`_emit`, printed as one JSON error and no more."""
+    import numpy as np
+
     from .gauss import (
         fit_posterior,
         gauss_batch,
@@ -211,32 +216,25 @@ def cmd_gauss(args) -> int:
         predictive_density,
     )
 
-    if args.action == "fit":
-        data = regression_data_from_csv(Path(args.csv).read_text(encoding="utf-8"))
-        post = fit_posterior(data, args.sigma)
-        _emit(
-            {
+    with np.errstate(all="ignore"):
+        if args.action == "predict":
+            post = _load_gauss_posterior(args.posterior)
+            mean, var = predictive_density(post, _parse_point(args.x_star), args.sigma)
+            doc = {"mean": mean, "variance": var}
+        else:
+            if args.action == "fit":
+                data = regression_data_from_csv(Path(args.csv).read_text(encoding="utf-8"))
+                post = fit_posterior(data, args.sigma)
+            else:
+                prior = _load_gauss_posterior(args.prior)
+                data = regression_data_from_csv(Path(args.csv).read_text(encoding="utf-8"))
+                step = gauss_sequential if args.mode == "seq" else gauss_batch
+                post = step(data, args.sigma, prior)
+            doc = {
                 "posterior": gauss_posterior_to_json(post),
                 "map": map_estimate(post).tolist(),
-            },
-            args.out,
-        )
-    elif args.action == "update":
-        prior = _load_gauss_posterior(args.prior)
-        data = regression_data_from_csv(Path(args.csv).read_text(encoding="utf-8"))
-        step = gauss_sequential if args.mode == "seq" else gauss_batch
-        post = step(data, args.sigma, prior)
-        _emit(
-            {
-                "posterior": gauss_posterior_to_json(post),
-                "map": map_estimate(post).tolist(),
-            },
-            args.out,
-        )
-    else:
-        post = _load_gauss_posterior(args.posterior)
-        mean, var = predictive_density(post, _parse_point(args.x_star), args.sigma)
-        _emit({"mean": mean, "variance": var}, args.out)
+            }
+    _emit(doc, args.out)
     return 0
 
 

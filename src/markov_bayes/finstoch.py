@@ -16,13 +16,13 @@ lowest-terms stochastic rows is already in lowest terms.  The public
 ``rows``, ``probs``, ``entry`` and ``dist`` read a :class:`fractions.Fraction`
 view that is built on first read and cached.
 
-Rationals are read and written as ``"p/q"`` text without that view.
-:func:`format_row` renders a row from the cached ``_terms`` view, each entry
-as its own lowest-terms integer pair, converting each distinct denominator
-once; :func:`parse_row` reads each distinct entry text once, straight to
-an integer pair, converting each distinct denominator once.  A batch
-posterior holds its weights as exponents over a coprime base, builds its
-integer row on first read and prints from an exact decimal view.
+Rationals are read and written as ``"p/q"`` text without that view.  A
+kernel's text is its cached ``_texts`` view: :func:`format_row` over the
+cached ``_terms``, each entry its own lowest-terms pair, converting each
+distinct denominator once.  A batch posterior holds its weights as
+exponents over a coprime base, builds its integer row on first read and
+renders its text from an exact decimal view instead.  :func:`parse_row`
+reads each distinct entry text once, converting each denominator once.
 Integers past 2048 bits or 600 digits convert divide-and-conquer, so
 neither direction is quadratic in the length of the number, and the
 interpreter's int-to-string digit limit is never reached or changed.
@@ -91,8 +91,8 @@ _TWO = Decimal(2)
 def _int_text(n: int) -> str:
     """``str(n)`` at any length.
 
-    A factored state is printed from its decimal view and never comes
-    here; every other row does.
+    A factored state renders its text from its decimal view and never
+    comes here; every other row does.
     Past ``_DIRECT_BITS`` the integer is split into ``hi * 2**k + lo`` at
     half its bits, both halves are converted recursively to
     :class:`Decimal`, and they are recombined in exact decimal arithmetic,
@@ -416,6 +416,8 @@ def _split(v: int, base) -> list[tuple[int, int]]:
     """The nonzero ``(index, exponent)`` pairs of ``v`` over ``base``."""
     exponents = []
     for k, b in enumerate(base):
+        if v == 1:
+            break
         e = 0
         while v % b == 0:
             v //= b
@@ -473,10 +475,11 @@ class Kernel:
     Internally row ``i`` is the numerators ``_num[i]`` over the denominator
     ``_den[i]``, in lowest terms; ``rows`` is the :class:`Fraction` view of
     them, which the constructor keeps when it is handed ``Fraction`` rows
-    and builds on first read otherwise, and ``_terms`` gives each entry as
-    its own lowest-terms pair.  A deterministic kernel may also carry
-    ``_map``, the target index of each source point; a kernel without one
-    is handled by the general routes, whatever its entries.
+    and builds on first read otherwise; ``_terms`` gives each entry as its
+    own lowest-terms pair and ``_texts`` as its ``"p/q"`` text.  A
+    deterministic kernel may also carry ``_map``, the target index of each
+    source point; a kernel without one takes the general routes, whatever
+    its entries.
     Operations on kernels build their results with :func:`_trusted`, which
     skips the checks because the result is stochastic by theorem.
     """
@@ -591,6 +594,19 @@ class Kernel:
                 row.append((p, d) if c == 1 else (p // c, d // c))
             terms.append(tuple(row))
         return tuple(terms)
+
+    @cached_property
+    def _texts(self) -> tuple[tuple[str, ...], ...]:
+        """Each entry as its own lowest-terms ``"p/q"`` text, row by row,
+        from ``_terms`` or a factored state's decimal view; every writer
+        reads it, so a kernel renders once however often it is written."""
+        if self._factors is None:
+            return tuple([tuple(format_row(terms)) for terms in self._terms])
+        dens = {}
+        return (tuple([
+            f"{p}/{dens.get(q) or dens.setdefault(q, str(q))}"
+            for p, q in self._decimals[2]
+        ]),)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

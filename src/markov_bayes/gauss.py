@@ -35,24 +35,21 @@ MAX_NORMAL_CONDITION = 1e12
 _SYM_TOL = 1e-12
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix, got shape {a.shape}")
-    return a
-
-
-def _as_vector(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a vector, got shape {a.shape}")
+def _as_array(a, name: str, ndim: int) -> np.ndarray:
+    try:
+        a = np.asarray(a, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry past the float range") from None
+    if a.ndim != ndim:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise DimensionMismatch(f"{name} must be a {kind}, got shape {a.shape}")
     return a
 
 
 def _check_noise(sigma: float) -> float:
     sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError(f"noise scale must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"noise scale must be positive and finite, got {sigma}")
     return sigma
 
 
@@ -60,8 +57,8 @@ def _check_noise(sigma: float) -> float:
 class GaussPosterior:
     """A Gaussian belief over regression weights: mean vector and covariance.
 
-    ``root`` is the lower Cholesky factor of ``cov``, the square root the
-    updates start from.
+    Every entry must be finite.  ``root`` is the lower Cholesky factor of
+    ``cov``, the square root the updates start from.
     """
 
     mean: np.ndarray
@@ -69,13 +66,15 @@ class GaussPosterior:
     root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mean = _as_vector(self.mean, "mean")
-        self.cov = _as_matrix(self.cov, "cov")
+        self.mean = _as_array(self.mean, "mean", 1)
+        self.cov = _as_array(self.cov, "cov", 2)
         n = self.mean.shape[0]
         if self.cov.shape != (n, n):
             raise DimensionMismatch(
                 f"mean has dimension {n} but covariance has shape {self.cov.shape}"
             )
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):
+            raise ValueError("posterior mean and covariance must be finite")
         if np.max(np.abs(self.cov - self.cov.T), initial=0.0) > _SYM_TOL * max(
             1.0, float(np.max(np.abs(self.cov)))
         ):
@@ -94,8 +93,8 @@ class RegressionData:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.design = _as_matrix(self.design, "design")
-        self.targets = _as_vector(self.targets, "targets")
+        self.design = _as_array(self.design, "design", 2)
+        self.targets = _as_array(self.targets, "targets", 1)
         if self.design.shape[0] != self.targets.shape[0]:
             raise DimensionMismatch(
                 f"{self.design.shape[0]} input rows but "
@@ -172,7 +171,7 @@ def predictive_density(
 ) -> tuple[float, float]:
     """Mean and variance of the output at ``x_star``, weights integrated out."""
     sigma = _check_noise(sigma)
-    x_star = _as_vector(x_star, "x_star")
+    x_star = _as_array(x_star, "x_star", 1)
     if x_star.shape[0] != post.mean.shape[0]:
         raise DimensionMismatch(
             f"input has dimension {x_star.shape[0]}, "

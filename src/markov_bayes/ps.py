@@ -30,7 +30,6 @@ from .finstoch import (
     associator,
     associator_inv,
     compose,
-    format_row,
     identity,
     left_unitor,
     left_unitor_inv,
@@ -65,7 +64,7 @@ PS_UNIT = PSObject(UNIT, identity(UNIT))
 
 def _state_text(st: State) -> str:
     """A state's probabilities as ``"(p/q, ...)"``, at any length."""
-    return f"({', '.join(format_row(st._terms[0]))})"
+    return f"({', '.join(st._texts[0])})"
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """JSON and CSV forms for every value the package reads or writes.
 
 Rationals always travel as ``"p/q"`` strings so that a written value parses
-back to the identical fraction.  Writers render a kernel's integer rows
-through :func:`~markov_bayes.finstoch.format_row`, and readers parse each
-entry straight to an integer pair, so no :class:`~fractions.Fraction` is
-built on either side.  Spaces serialize with their factor record
-when they have one, which keeps joint-state structure across a round trip.
+back to the identical fraction.  Writers read a kernel's cached text view,
+``Kernel._texts``, so each kernel is rendered once however many documents
+hold it, and readers parse each entry straight to an integer pair, so no
+:class:`~fractions.Fraction` is built on either side.  Spaces serialize
+with their factor record when they have one, which keeps joint-state
+structure across a round trip.
 The float backend's forms import numpy and :mod:`~markov_bayes.gauss` when
 first called, so reading and writing exact values never loads them.
 """
@@ -23,7 +24,6 @@ from .finstoch import (
     Kernel,
     State,
     _from_pairs,
-    format_row,
     parse_row,
     product,
 )
@@ -88,7 +88,7 @@ def kernel_to_json(k: Kernel) -> dict:
     return {
         "source": space_to_json(k.source),
         "target": space_to_json(k.target),
-        "rows": [format_row(terms) for terms in k._terms],
+        "rows": [list(row) for row in k._texts],
     }
 
 
@@ -100,22 +100,10 @@ def kernel_from_json(doc: dict) -> Kernel:
 
 
 def state_to_map(st: State) -> dict:
-    """A state as a label-to-rational mapping, in space order.
-
-    A factored state, as the batch update leaves, prints from its exact
-    decimal view, and its binary row is never built.  Either way each
-    distinct denominator is converted to text once.
-    """
+    """A state as a label-to-rational mapping, in space order."""
     if len(st.source) != 1:
         raise ValueError(f"{st!r} is not a state")
-    decimals = st._decimals
-    if decimals is None:
-        return dict(zip(st.target.elements, format_row(st._terms[0])))
-    dens = {}
-    return {
-        label: f"{p}/{dens.get(q) or dens.setdefault(q, str(q))}"
-        for label, (p, q) in zip(st.target.elements, decimals[2])
-    }
+    return dict(zip(st.target.elements, st._texts[0]))
 
 
 def state_from_map(space: FinSpace, mapping: dict) -> State:
@@ -212,7 +200,7 @@ def model_to_json(m: Model) -> dict:
         "input": space_to_json(m.input_space),
         "input_state": state_to_map(m.input_state),
         "output": space_to_json(m.output_space),
-        "channel": [format_row(terms) for terms in m.channel._terms],
+        "channel": [list(row) for row in m.channel._texts],
     }
 
 
@@ -282,7 +270,7 @@ def trace_to_tsv(trace: PosteriorTrace) -> str:
     space = trace.states[0].target
     lines = ["\t".join(["step", *space.elements])]
     for i, st in enumerate(trace.states):
-        lines.append("\t".join([str(i), *format_row(st._terms[0])]))
+        lines.append("\t".join([str(i), *st._texts[0]]))
     return "\n".join(lines) + "\n"
 
 

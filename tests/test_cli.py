@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 
 from markov_bayes import FinSpace, Kernel, Model, delta, product, uniform_state
+from markov_bayes import finstoch
 from markov_bayes.cli import main
-from markov_bayes.serialize import kernel_to_json, model_to_json
+from markov_bayes.learning import sequential_update
+from markov_bayes.serialize import (
+    kernel_to_json,
+    model_from_json,
+    model_to_json,
+    trace_to_json,
+    training_set_from_csv,
+)
 from markov_bayes.suites import SuiteFailure, SuiteReport
 from test_exact_io import _grid_bundle
 
@@ -109,6 +117,10 @@ def test_learn_seq_includes_the_trace(capsys):
 #: sequential step inverted the two-outcome event channel.
 SEQ_GOLDEN_SHA256 = "c75442b5714c7bdd873ff6aeac865e9eb6f6b28b47b6b6e3c83157a5b024cf09"
 
+#: sha256 of the ``--trace-tsv`` file of the same run, recorded before the
+#: TSV reused the text of the JSON trace.
+SEQ_TSV_GOLDEN_SHA256 = "28f151790837ddb55b2f987338491b99c01dd69c60231ce7494840fc39b9b289"
+
 
 def _seeded_csv(path: Path, n: int, seed: int) -> str:
     rng = random.Random(seed)
@@ -121,10 +133,36 @@ def _seeded_csv(path: Path, n: int, seed: int) -> str:
 
 def test_learn_seq_output_is_byte_for_byte_pinned(capsys, tmp_path):
     csv = _seeded_csv(tmp_path / "seeded.csv", 200, 200)
-    code, out, err = run(capsys, "learn", BUNDLE, csv, "--mode", "seq")
+    tsv = tmp_path / "trace.tsv"
+    code, out, err = run(capsys, "learn", BUNDLE, csv, "--mode", "seq", "--trace-tsv", str(tsv))
     assert code == 0, err
     assert len(json.loads(out)["trace"]) == 201
     assert hashlib.sha256(out.encode()).hexdigest() == SEQ_GOLDEN_SHA256
+    assert hashlib.sha256(tsv.read_bytes()).hexdigest() == SEQ_TSV_GOLDEN_SHA256
+
+
+def test_learn_seq_renders_each_state_once(capsys, tmp_path, monkeypatch):
+    """The ``posterior`` key and ``--trace-tsv`` reuse the trace's text: the
+    command converts exactly the integers that rendering every state of a
+    fresh trace once converts."""
+    csv = _seeded_csv(tmp_path / "seeded.csv", 50, 50)
+    converted = []
+    real = finstoch._int_text
+    monkeypatch.setattr(finstoch, "_int_text", lambda n: converted.append(n) or real(n))
+
+    def conversions(*argv) -> int:
+        converted.clear()
+        assert run(capsys, "learn", BUNDLE, csv, "--mode", "seq", *argv)[0] == 0
+        return len(converted)
+
+    plain = conversions()
+    with_tsv = conversions("--trace-tsv", str(tmp_path / "trace.tsv"))
+    converted.clear()
+    model = model_from_json(json.loads(Path(BUNDLE).read_text()))
+    data = training_set_from_csv(Path(csv).read_text())
+    trace_to_json(sequential_update(model, data))
+    assert len(converted) > 51
+    assert plain == with_tsv == len(converted)
 
 
 def _rough_bundle() -> dict:
@@ -423,6 +461,54 @@ def test_gauss_seq_update_rejects_non_finite_rows(capsys, tmp_path):
     )
     assert code == 1
     assert "line 3" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "posterior, argv",
+    [
+        ('{"mean": [null], "cov": [[1e300]]}', ["predict", "1e308", "--sigma", "1"]),
+        ('{"mean": [NaN], "cov": [[1]]}', ["update", "CSV", "--sigma", "1", "--mode", "seq"]),
+        ('{"mean": [Infinity], "cov": [[1]]}', ["update", "CSV", "--sigma", "1"]),
+        ('{"mean": [1], "cov": [[1]]}', ["predict", "1", "--sigma", "inf"]),
+        ('{"mean": [1], "cov": [[1]]}', ["update", "CSV", "--sigma", "nan"]),
+        # finite inputs whose predictive variance overflows
+        ('{"mean": [1], "cov": [[1e300]]}', ["predict", "1e308", "--sigma", "1"]),
+    ],
+)
+def test_gauss_refuses_non_finite_posteriors_sigmas_and_results(capsys, tmp_path, posterior, argv):
+    path = tmp_path / "post.json"
+    path.write_text(posterior)
+    csv = tmp_path / "r.csv"
+    csv.write_text("x1,y\n1,2\n2,3\n")
+    action, *rest = argv
+    code, out, err = run(
+        capsys, "gauss", action, str(path), *[str(csv) if a == "CSV" else a for a in rest]
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "r.csv", "--sigma", "1e-320"],
+        ["update", "wide.json", "r.csv", "--sigma", "1", "--mode", "seq"],
+    ],
+)
+def test_gauss_overflow_writes_one_error_and_no_warning(tmp_path, argv):
+    (tmp_path / "r.csv").write_text("x1,y\n1,2\n2,3\n3,5\n")
+    (tmp_path / "wide.json").write_text('{"mean": [1], "cov": [[1e300]]}')
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "markov_bayes", "gauss", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert set(json.loads(line)) == {"error", "type", "message"}
 
 
 def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):

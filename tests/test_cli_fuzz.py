@@ -1,19 +1,25 @@
 """Hostile input to the command line: every malformed bundle, training CSV,
-posterior or kernel file gets a documented exit code, one JSON error object
-on stderr and no traceback, in bounded time.
+posterior, kernel or regression file and every hostile noise scale gets a
+documented exit code, one JSON error object on stderr, no warning and no
+traceback, in bounded time, and what a command prints on success is strict
+JSON, with no ``NaN`` or ``Infinity``.
 
 Each case starts from a valid document and breaks it in one or two ways:
 a value of the wrong JSON type, a missing key, a duplicate or unknown
 label, a point mass where mass was spread, a negative entry, a huge
 exponent, a stray ``\\r``, a truncated or empty file, or nesting past what
 the JSON reader can follow.  Training CSVs get wrong headers, unknown
-labels, stray ``\\r``, NUL bytes and quotes.  ``cli.main`` runs in-process,
-and the number of examples keeps the whole module to a few seconds.
+labels, stray ``\\r``, NUL bytes and quotes.  Gaussian posteriors, points,
+regression rows and noise scales get ``null``, ``NaN``, infinities,
+``1e308``, ``1e-320`` and integers past the float range.  ``cli.main`` runs
+in-process, and the number of examples keeps the whole module to a few
+seconds.
 """
 
 import io
 import json
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -36,7 +42,25 @@ PRIOR = {
     "target": {"name": "X", "elements": ["x0", "x1"]},
     "rows": [["1/2", "1/2"]],
 }
+BACK = {
+    "source": {"name": "Y", "elements": ["y0", "y1"]},
+    "target": {"name": "X", "elements": ["x0", "x1"]},
+    "rows": [["1/3", "2/3"], ["1", "0"]],
+}
 CSV = "x,y\nx0,y0\nx0,y1\n"
+GAUSS_POSTERIOR = {"posterior": {"mean": [0.5, -1.0], "cov": [[1.0, 0.25], [0.25, 2.0]]}}
+REGRESSION = (("1", "2", "3"), ("2", "1", "0"), ("0.5", "0.5", "1"))
+
+#: Numbers past, at or below the edges of the float range, and not numbers.
+HOSTILE_NUMBERS = (
+    None, float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-320, 0.0,
+    -1.0, 10**400,
+)
+#: The same as command-line or CSV text.
+HOSTILE_NUMBER_TEXTS = (
+    "nan", "NaN", "inf", "-inf", "Infinity", "1e308", "-1e308", "1e-320", "0", "-1",
+    "1" + "0" * 400, "", "x",
+)
 
 #: Wall-time bound for one case, far above what any case needs.
 CASE_SECONDS = 5.0
@@ -166,18 +190,25 @@ def _write(directory: Path, name: str, text: str) -> str:
     return str(path)
 
 
+def _no_constant(name: str):
+    raise AssertionError(f"output is not strict JSON: {name}")
+
+
 def _run(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        # outside a test runner, a warning is a line on stderr
+        warnings.simplefilter("always")
         code = main(argv)
     elapsed = time.perf_counter() - start
     assert code in EXITS, (code, err.getvalue())
     assert elapsed < CASE_SECONDS, (argv, elapsed)
     assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
     if code == 0:
         assert err.getvalue() == ""
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_no_constant)
         return
     lines = err.getvalue().splitlines()
     assert len(lines) == 1, err.getvalue()
@@ -277,3 +308,70 @@ def test_invert_survives_malformed_kernels(workdir, data):
         _write(workdir, "kernel.json", _render(data, kernel)),
         _write(workdir, "prior.json", _render(data, prior)),
     ])
+
+
+@FUZZ
+@given(st.data())
+def test_compose_survives_malformed_kernels(workdir, data):
+    kernels = [KERNEL, BACK, KERNEL][: data.draw(st.integers(1, 3))]
+    hit = data.draw(st.integers(0, len(kernels) - 1))
+    kernels[hit] = _mutate(data, kernels[hit])
+    _run([
+        "compose",
+        *[_write(workdir, f"k{i}.json", _render(data, k)) for i, k in enumerate(kernels)],
+    ])
+
+
+def _hostile_numbers(data, doc):
+    """``doc`` with one to three of its numbers made hostile."""
+    doc = json.loads(json.dumps(doc))
+    numbers = [p for p in _paths(doc) if isinstance(_at(doc, p), float)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(numbers))
+        _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(HOSTILE_NUMBERS))
+    return doc
+
+
+def _gauss_posterior(data, workdir) -> str:
+    form = data.draw(st.sampled_from(("numbers", "numbers", "mutate", "valid")))
+    if form == "numbers":
+        doc = _hostile_numbers(data, GAUSS_POSTERIOR)
+    else:
+        doc = _mutate(data, GAUSS_POSTERIOR) if form == "mutate" else GAUSS_POSTERIOR
+    return _write(workdir, "gauss.json", _render(data, doc))
+
+
+def _regression_csv(data, workdir) -> str:
+    rows = [list(row) for row in REGRESSION]
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(HOSTILE_NUMBER_TEXTS))
+    text = "x1,x2,y\n" + "".join(",".join(row) + "\n" for row in rows)
+    return _write(workdir, "reg.csv", text)
+
+
+def _sigma(data) -> list[str]:
+    return ["--sigma", data.draw(st.sampled_from(("1", "0.5", *HOSTILE_NUMBER_TEXTS)))]
+
+
+@FUZZ
+@given(st.data())
+def test_gauss_fit_survives_hostile_rows_and_sigmas(workdir, data):
+    _run(["gauss", "fit", _regression_csv(data, workdir), *_sigma(data)])
+
+
+@FUZZ
+@given(st.data())
+def test_gauss_update_survives_hostile_posteriors_rows_and_sigmas(workdir, data):
+    _run([
+        "gauss", "update", _gauss_posterior(data, workdir), _regression_csv(data, workdir),
+        *_sigma(data), "--mode", data.draw(st.sampled_from(("seq", "batch"))),
+    ])
+
+
+@FUZZ
+@given(st.data())
+def test_gauss_predict_survives_hostile_posteriors_points_and_sigmas(workdir, data):
+    coordinates = st.sampled_from(("1", "-2.5", *HOSTILE_NUMBER_TEXTS))
+    point = ",".join(data.draw(st.lists(coordinates, min_size=1, max_size=3)))
+    _run(["gauss", "predict", _gauss_posterior(data, workdir), point, *_sigma(data)])

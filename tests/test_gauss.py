@@ -61,6 +61,29 @@ def test_noise_scale_must_be_positive():
         fit_posterior(data, -1.0)
 
 
+@pytest.mark.parametrize(
+    "mean, cov",
+    [([math.nan], [[1.0]]), ([None], [[1e300]]), ([0.0], [[math.inf]]),
+     ([0.0, -math.inf], [[1.0, 0.0], [0.0, 1.0]]), ([10**400], [[1.0]])],
+)
+def test_posterior_refuses_non_finite_entries(mean, cov):
+    with pytest.raises(ValueError, match="finite|float range"):
+        GaussPosterior(mean=mean, cov=cov)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_noise_scale_must_be_finite(sigma):
+    data = RegressionData(design=np.ones((3, 1)), targets=np.ones(3))
+    prior = GaussPosterior(mean=[0.0], cov=[[1.0]])
+    for route in (gauss_sequential, gauss_batch):
+        with pytest.raises(ValueError, match="finite"):
+            route(data, sigma, prior)
+    with pytest.raises(ValueError, match="finite"):
+        fit_posterior(data, sigma)
+    with pytest.raises(ValueError, match="finite"):
+        predictive_density(prior, [1.0], sigma)
+
+
 # ---------- improper-prior fit ----------
 
 

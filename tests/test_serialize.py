@@ -193,6 +193,18 @@ def test_model_json_reports_missing_fields():
         model_from_json({"params": {"name": "M", "elements": ["m0"]}})
 
 
+def test_an_edited_document_leaves_later_renders_alone():
+    # every writer reads the kernel's cached text, and hands out fresh lists
+    model = rand_model(random.Random(3), 3, 3, 3)
+    before = json.dumps(model_to_json(model))
+    doc = model_to_json(model)
+    doc["channel"][0][0] = doc["prior"][model.params.elements[0]] = "x"
+    kernel_to_json(model.channel)["rows"][1].append("x")
+    state_to_map(model.input_state).clear()
+    assert json.dumps(model_to_json(model)) == before
+    assert kernel_to_json(model.channel)["rows"] == json.loads(before)["channel"]
+
+
 # ---------- training data ----------
 
 

@@ -109,6 +109,32 @@ MUTANTS = {
         "if g > b:",
         ("tests/test_learning.py::test_batch_cancels_a_large_prime_within_one_parameter",),
     ),
+    # the cached text view, one mutant per branch
+    "texts-decimal-dens-shared": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "dens.get(q) or dens.setdefault(q, str(q))",
+        "dens.get(0) or dens.setdefault(0, str(q))",
+        ("tests/test_cli.py::test_learn_batch_output_is_byte_for_byte_pinned",),
+    ),
+    "texts-binary-reversed": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "tuple(format_row(terms))",
+        "tuple(format_row(terms[::-1]))",
+        ("tests/test_cli.py::test_learn_seq_output_is_byte_for_byte_pinned",),
+    ),
+    # the Gaussian backend's QR factor and its finite inputs
+    "gauss-r-perturbed": Mutant(
+        "src/markov_bayes/gauss.py",
+        "r, z = r[:dim, :dim], r[:dim, dim]\n",
+        "r, z = r[:dim, :dim], r[:dim, dim]\n    r = r + np.tril(np.full_like(r, 1e-9), -1)\n",
+        ("tests/test_gauss.py::test_sequential_equals_batch",),
+    ),
+    "gauss-finite-check-dropped": Mutant(
+        "src/markov_bayes/gauss.py",
+        "if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):",
+        "if False:",
+        ("tests/test_gauss.py::test_posterior_refuses_non_finite_entries",),
+    ),
     "ps-induced-not-canonical": Mutant(
         "src/markov_bayes/ps.py",
         "_ps_trusted(src, dst, canonicalize(f, src.state))",
