@@ -205,7 +205,7 @@ def _parse_point(text: str) -> list[float]:
 
 def cmd_gauss(args) -> int:
     """numpy's float warnings are off: an overflow ends in a refusal, by the
-    condition guard or :func:`_emit`, printed as one JSON error and no more."""
+    route that overflowed or :func:`_emit`, printed as one JSON error and no more."""
     import numpy as np
 
     from .gauss import (
@@ -241,7 +241,11 @@ def cmd_gauss(args) -> int:
 def cmd_check(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("MARKOV_BAYES_SEED", str(DEFAULT_SEED)))
+        text = os.environ.get("MARKOV_BAYES_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"MARKOV_BAYES_SEED must be an integer, got {text!r}") from None
     report = run_suite(args.suite, args.cases, seed)
     summary = {
         "suite": report.suite,

@@ -9,8 +9,9 @@ Everything here is floating point.  Every posterior is carried as a mean
 and a square-root factor ``S`` of its covariance, ``cov = S S^T``: the fit
 and the batch update take the triangular factor of a QR of the stacked,
 noise-scaled rows, and the sequential update moves ``S`` one row at a time
-by Potter's square-root update.  No route forms the normal matrix, and all
-of them refuse through the same condition guard.
+by Potter's square-root update.  No route forms the normal matrix.  Every
+route refuses from the QR factor of its own stacked whitened rows, so the
+two updates refuse the same ill-conditioned inputs.
 
 numpy is the package's one dependency.  The exact layers import neither it
 nor this module when they load, so no exact command pays for either.  The
@@ -107,50 +108,52 @@ class RegressionData:
         return self.design.shape[0]
 
 
-def _guard(factor: np.ndarray) -> None:
-    """The one refusal every route shares.
-
-    ``factor`` is the covariance square root ``S`` or its inverse, the
-    information factor ``R``; both have the condition of ``S``, whose square
-    is the condition of the normal matrix.
-    """
-    cond = np.linalg.cond(factor)
+def _factor(data: RegressionData, sigma: float, prior: GaussPosterior | None = None):
+    """The QR factor ``[R | z]`` of the rows ``[X | y] / sigma`` under the prior's
+    rows ``[L^-1 | L^-1 mean]``, if any.  ``R`` inverts a covariance root, so
+    every route refuses on ``cond(R)**2``, also when it cannot be computed."""
+    dim = data.design.shape[1]
+    rows = np.column_stack([data.design, data.targets]) / sigma
+    if prior is not None:
+        if dim != prior.mean.shape[0]:
+            raise DimensionMismatch(f"data has dimension {dim}, prior has {prior.mean.shape[0]}")
+        info = np.linalg.solve(prior.root, np.column_stack([np.eye(dim), prior.mean]))
+        rows = np.vstack([info, rows])
+    r = np.linalg.qr(rows, mode="r")
+    try:
+        cond = float(np.linalg.cond(r[:dim, :dim]))
+    except np.linalg.LinAlgError:
+        cond = math.nan
     if not cond * cond < MAX_NORMAL_CONDITION:
         raise RankDeficient(
             f"normal matrix condition {cond * cond:.3e} exceeds "
             f"{MAX_NORMAL_CONDITION:.0e}"
         )
+    return r
 
 
-def _from_rows(rows: np.ndarray) -> GaussPosterior:
-    """Posterior from whitened rows ``[A | b]``, observing ``A w = b`` with unit noise.
-
-    With ``R`` the triangular QR factor of ``A`` and ``z`` the matching part
-    of the rotated ``b``, the mean solves ``R w = z`` and ``S = R^-1``.
-    """
-    dim = rows.shape[1] - 1
-    r = np.linalg.qr(rows, mode="r")
-    r, z = r[:dim, :dim], r[:dim, dim]
-    _guard(r)
-    solved = np.linalg.solve(r, np.column_stack([np.eye(dim), z]))
-    root = solved[:, :dim]
-    return GaussPosterior(mean=solved[:, dim], cov=root @ root.T)
-
-
-def _check_dim(data: RegressionData, prior: GaussPosterior) -> None:
-    if data.design.shape[1] != prior.mean.shape[0]:
-        raise DimensionMismatch(
-            f"data has dimension {data.design.shape[1]}, "
-            f"prior has {prior.mean.shape[0]}"
+def _posterior(mean: np.ndarray, root: np.ndarray, sigma: float) -> GaussPosterior:
+    """The posterior with covariance ``root root^T``, refused if it overflowed."""
+    cov = root @ root.T
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise RankDeficient(
+            f"the posterior at noise scale {sigma:g} overflows the float range"
         )
+    return GaussPosterior(mean=mean, cov=cov)
+
+
+def _solve(r: np.ndarray, sigma: float) -> GaussPosterior:
+    """The posterior of ``[R | z]``: its mean solves ``R w = z``, and ``S = R^-1``."""
+    dim = r.shape[1] - 1
+    solved = np.linalg.solve(r[:dim, :dim], np.column_stack([np.eye(dim), r[:dim, dim]]))
+    return _posterior(solved[:, dim], solved[:, :dim], sigma)
 
 
 def fit_posterior(data: RegressionData, sigma: float) -> GaussPosterior:
-    """Posterior from the flat prior: mean solves least squares exactly.
+    """Posterior from the flat prior: its mean solves least squares exactly.
 
-    Requires at least as many observations as weight dimensions and a
-    well-conditioned design; the covariance is the noise variance spread
-    through the inverse normal matrix, read off the QR factor.
+    Needs at least as many observations as weights and a well-conditioned
+    design.
     """
     sigma = _check_noise(sigma)
     n_obs, dim = data.design.shape
@@ -158,7 +161,7 @@ def fit_posterior(data: RegressionData, sigma: float) -> GaussPosterior:
         raise RankDeficient(
             f"{n_obs} observations cannot determine {dim} weights"
         )
-    return _from_rows(np.column_stack([data.design, data.targets]) / sigma)
+    return _solve(_factor(data, sigma), sigma)
 
 
 def map_estimate(post: GaussPosterior) -> np.ndarray:
@@ -177,7 +180,10 @@ def predictive_density(
             f"input has dimension {x_star.shape[0]}, "
             f"posterior has {post.mean.shape[0]}"
         )
-    return float(x_star @ post.mean), float(x_star @ post.cov @ x_star + sigma * sigma)
+    mean, var = float(x_star @ post.mean), float(x_star @ post.cov @ x_star + sigma * sigma)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError(f"the prediction at {x_star.tolist()}, sigma {sigma:g}, overflows")
+    return mean, var
 
 
 def gauss_sequential(
@@ -189,10 +195,11 @@ def gauss_sequential(
     ``S`` to ``S - a / (1 + sqrt(a sigma^2)) (S f) f^T``, whose square is the
     conditioned covariance ``cov - a (cov x)(cov x)^T``.  The outer product
     is written into one buffer and scaled there, so a step allocates no
-    matrix; the guard runs once, on the final factor.
+    matrix.  The guard runs once, on the batch route's factor of the same
+    rows, and a result that overflowed is refused.
     """
     sigma = _check_noise(sigma)
-    _check_dim(data, prior)
+    _factor(data, sigma, prior)
     var = sigma * sigma
     mean = prior.mean.copy()
     root = prior.root.copy()
@@ -205,23 +212,12 @@ def gauss_sequential(
         np.multiply(gain[:, None], f, out=step)
         step *= a / (1.0 + math.sqrt(a * var))
         root -= step
-    _guard(root)
-    return GaussPosterior(mean=mean, cov=root @ root.T)
+    return _posterior(mean, root, sigma)
 
 
 def gauss_batch(
     data: RegressionData, sigma: float, prior: GaussPosterior
 ) -> GaussPosterior:
-    """Absorb all observations at once: the fit's QR with the prior on top.
-
-    The prior enters as the whitened rows ``[L^-1 | L^-1 mean]``, with ``L``
-    its Cholesky factor, stacked above the noise-scaled data rows.
-    """
+    """Absorb all observations at once: the fit's QR with the prior's rows on top."""
     sigma = _check_noise(sigma)
-    _check_dim(data, prior)
-    dim = prior.mean.shape[0]
-    prior_rows = np.linalg.solve(
-        prior.root, np.column_stack([np.eye(dim), prior.mean])
-    )
-    data_rows = np.column_stack([data.design, data.targets]) / sigma
-    return _from_rows(np.vstack([prior_rows, data_rows]))
+    return _solve(_factor(data, sigma, prior), sigma)

@@ -511,6 +511,44 @@ def test_gauss_overflow_writes_one_error_and_no_warning(tmp_path, argv):
     assert set(json.loads(line)) == {"error", "type", "message"}
 
 
+def test_gauss_seq_refuses_the_overflowed_root_of_a_prior_that_batch_absorbs(capsys, tmp_path):
+    prior = write_json(tmp_path, "wide.json", {"mean": [1], "cov": [[1e300]]})
+    path = tmp_path / "r.csv"
+    path.write_text("x1,y\n1,2\n2,3\n3,5\n")
+    argv = ["gauss", "update", prior, str(path), "--sigma", "1", "--mode"]
+    code, out, err = run(capsys, *argv, "seq")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "type": "RankDeficient",
+        "message": "the posterior at noise scale 1 overflows the float range",
+    }
+    assert run_json(capsys, *argv, "batch")["posterior"]["cov"][0][0] > 0
+
+
+@pytest.mark.parametrize(
+    "action, argv, message",
+    [
+        ("predict", ["POST", "1e308", "--sigma", "1"],
+         "the prediction at [1e+308], sigma 1, overflows"),
+        ("predict", ["POST", "2", "--sigma", "1e200"],
+         "the prediction at [2.0], sigma 1e+200, overflows"),
+        ("fit", ["CSV", "--sigma", "1e308"],
+         "the posterior at noise scale 1e+308 overflows the float range"),
+    ],
+    ids=["predict-point", "predict-sigma", "fit-sigma"],
+)
+def test_gauss_overflow_names_the_point_or_the_sigma(capsys, tmp_path, action, argv, message):
+    files = {
+        "POST": write_json(tmp_path, "post.json", {"mean": [0.5], "cov": [[1.0]]}),
+        "CSV": str(tmp_path / "r.csv"),
+    }
+    (tmp_path / "r.csv").write_text("x1,y\n1,2\n2,3\n")
+    code, out, err = run(capsys, "gauss", action, *[files.get(a, a) for a in argv])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == message
+
+
 def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     path = tmp_path / "thin.csv"
     path.write_text("x1,x2,y\n1.0,2.0,3.0\n")
@@ -583,6 +621,18 @@ def test_check_law_violation_exits_three(capsys, monkeypatch):
     assert detail["error"] == "law-violation"
     assert "case 4" in detail["message"]
     assert detail["failures"][0]["case_seed"] == 7000025
+
+
+@pytest.mark.parametrize("text", ["abc", "", "1e3", "7.0"])
+def test_check_names_a_bad_seed_in_the_environment(capsys, monkeypatch, text):
+    monkeypatch.setenv("MARKOV_BAYES_SEED", text)
+    code, out, err = run(capsys, "check", "--suite", "zn", "--cases", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "type": "ValueError",
+        "message": f"MARKOV_BAYES_SEED must be an integer, got {text!r}",
+    }
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

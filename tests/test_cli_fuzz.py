@@ -1,8 +1,9 @@
 """Hostile input to the command line: every malformed bundle, training CSV,
-posterior, kernel or regression file and every hostile noise scale gets a
-documented exit code, one JSON error object on stderr, no warning and no
-traceback, in bounded time, and what a command prints on success is strict
-JSON, with no ``NaN`` or ``Infinity``.
+posterior, kernel or regression file, every hostile noise scale and every
+hostile ``check`` argument or seed gets a documented exit code, one JSON
+error object on stderr, no warning and no traceback, in bounded time, and
+what a command prints on success is strict JSON, with no ``NaN`` or
+``Infinity``.
 
 Each case starts from a valid document and breaks it in one or two ways:
 a value of the wrong JSON type, a missing key, a duplicate or unknown
@@ -11,23 +12,28 @@ exponent, a stray ``\\r``, a truncated or empty file, or nesting past what
 the JSON reader can follow.  Training CSVs get wrong headers, unknown
 labels, stray ``\\r``, NUL bytes and quotes.  Gaussian posteriors, points,
 regression rows and noise scales get ``null``, ``NaN``, infinities,
-``1e308``, ``1e-320`` and integers past the float range.  ``cli.main`` runs
+``1e308``, ``1e-320`` and integers past the float range.  ``check`` gets
+unknown suites, hostile ``--cases`` and ``--seed`` texts and a hostile
+``MARKOV_BAYES_SEED``, always with a few cases.  ``cli.main`` runs
 in-process, and the number of examples keeps the whole module to a few
 seconds.
 """
 
 import io
 import json
+import os
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from markov_bayes.cli import main
+from markov_bayes.suites import SUITES
 
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLE = json.loads((DATA_DIR / "two_point_bundle.json").read_text(encoding="utf-8"))
@@ -375,3 +381,28 @@ def test_gauss_predict_survives_hostile_posteriors_points_and_sigmas(workdir, da
     coordinates = st.sampled_from(("1", "-2.5", *HOSTILE_NUMBER_TEXTS))
     point = ",".join(data.draw(st.lists(coordinates, min_size=1, max_size=3)))
     _run(["gauss", "predict", _gauss_posterior(data, workdir), point, *_sigma(data)])
+
+
+#: Seeds as text: in range, negative, past any machine word, past what
+#: ``int`` reads, and not integers.
+SEED_TEXTS = (
+    "0", "7", "-1", " 3 ", "1_0", "1" + "0" * 400, "9" * 5000, "", "abc", "1e3", "7.0",
+    "0x10", "nan",
+)
+
+
+@FUZZ
+@given(st.data())
+def test_check_survives_hostile_suites_cases_and_seeds(data):
+    suite = data.draw(st.sampled_from((*sorted(SUITES), "", "Markov", "zn ", "all", None)))
+    argv = ["check"] if suite is None else ["check", "--suite", suite]
+    # never the default 100 cases: a valid count stays at one or two
+    argv += ["--cases", data.draw(st.sampled_from(("1", "2", "0", "-1", "", "x", "1.5", "1e3")))]
+    if data.draw(st.booleans()):
+        argv += ["--seed", data.draw(st.sampled_from(SEED_TEXTS))]
+    env = data.draw(st.one_of(st.none(), st.sampled_from(SEED_TEXTS)))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MARKOV_BAYES_SEED", None)
+        if env is not None:
+            os.environ["MARKOV_BAYES_SEED"] = env
+        _run(argv)

@@ -19,7 +19,7 @@ from markov_bayes import (
     map_estimate,
     predictive_density,
 )
-from markov_bayes.gauss import MAX_NORMAL_CONDITION, _guard
+from markov_bayes.gauss import MAX_NORMAL_CONDITION, _factor
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -304,11 +304,47 @@ def test_every_route_refuses_a_design_past_the_guard(seed):
         gauss_batch(data, 1.0, prior)
 
 
+def test_every_route_refuses_a_factor_whose_condition_cannot_be_computed():
+    # rows scaled past the float range leave NaN in the factor, on which the
+    # SVD behind the condition number does not converge
+    data = RegressionData(design=[[1.0, 2.0], [2.0, 1.0], [3.0, 1.0]], targets=[1.0, 2.0, 3.0])
+    prior = GaussPosterior(mean=np.zeros(2), cov=np.eye(2))
+    with np.errstate(all="ignore"):
+        with pytest.raises(RankDeficient, match="condition nan exceeds"):
+            fit_posterior(data, 1e-320)
+        for update in (gauss_sequential, gauss_batch):
+            with pytest.raises(RankDeficient, match="condition nan exceeds"):
+                update(data, 1e-320, prior)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sequential_refuses_exactly_where_batch_does(seed):
+    # bisect the design's condition to where batch's outcome flips, to a
+    # relative 1e-12; on both sides of the flip seq must do what batch does
+    prior = GaussPosterior(mean=np.zeros(4), cov=1e16 * np.eye(4))
+
+    def refusal(update, cond):
+        got = _outcome(update, conditioned_design(seed, 200, 4, cond), 0.5, prior)
+        return got if isinstance(got, str) else None
+
+    lo, hi = 5e5, 2e6
+    assert refusal(gauss_batch, lo) is None and refusal(gauss_batch, hi) is not None
+    while hi - lo > 1e-12 * lo:
+        mid = (lo + hi) / 2
+        if refusal(gauss_batch, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    for cond in (lo, hi):
+        assert refusal(gauss_sequential, cond) == refusal(gauss_batch, cond), cond
+
+
 # ---------- Potter's loop against the outer-product reference ----------
 
 
 def _outer_product_sequential(data, sigma, prior):
     """Potter's update as first written: a fresh ``np.outer`` matrix per row."""
+    _factor(data, sigma, prior)
     var = sigma * sigma
     mean = prior.mean.copy()
     root = prior.root.copy()
@@ -318,7 +354,6 @@ def _outer_product_sequential(data, sigma, prior):
         a = 1.0 / (float(f @ f) + var)
         mean += (a * float(y - x @ mean)) * gain
         root -= (a / (1.0 + math.sqrt(a * var))) * np.outer(gain, f)
-    _guard(root)
     return GaussPosterior(mean=mean, cov=root @ root.T)
 
 

@@ -1,6 +1,6 @@
 """The mutation checks of ``tools/mutants.py`` stay aimed at the source.
 
-Running the mutants takes about 35 s; this only checks that each one's text
+Running the mutants takes about 40 s; this only checks that each one's text
 still occurs exactly once where it points and that its tests exist.
 """
 

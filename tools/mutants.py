@@ -122,18 +122,52 @@ MUTANTS = {
         "tuple(format_row(terms[::-1]))",
         ("tests/test_cli.py::test_learn_seq_output_is_byte_for_byte_pinned",),
     ),
-    # the Gaussian backend's QR factor and its finite inputs
+    # the Gaussian backend's QR factor, its one guard, and its finite inputs
+    # and results
     "gauss-r-perturbed": Mutant(
         "src/markov_bayes/gauss.py",
-        "r, z = r[:dim, :dim], r[:dim, dim]\n",
-        "r, z = r[:dim, :dim], r[:dim, dim]\n    r = r + np.tril(np.full_like(r, 1e-9), -1)\n",
+        "np.linalg.solve(r[:dim, :dim], ",
+        "np.linalg.solve(r[:dim, :dim] + np.tril(np.full((dim, dim), 1e-9), -1), ",
         ("tests/test_gauss.py::test_sequential_equals_batch",),
+    ),
+    "seq-factor-dropped": Mutant(
+        "src/markov_bayes/gauss.py",
+        "    _factor(data, sigma, prior)\n",
+        "",
+        ("tests/test_gauss.py::test_sequential_refuses_exactly_where_batch_does",),
+    ),
+    "seq-finite-check-dropped": Mutant(
+        "src/markov_bayes/gauss.py",
+        "    return _posterior(mean, root, sigma)\n",
+        "    return GaussPosterior(mean=mean, cov=root @ root.T)\n",
+        ("tests/test_cli.py::test_gauss_seq_refuses_the_overflowed_root_of_a_prior_that_batch_absorbs",),
     ),
     "gauss-finite-check-dropped": Mutant(
         "src/markov_bayes/gauss.py",
         "if not (np.isfinite(self.mean).all() and np.isfinite(self.cov).all()):",
         "if False:",
         ("tests/test_gauss.py::test_posterior_refuses_non_finite_entries",),
+    ),
+    # the laws of the seq = batch claim, each against its planted fault
+    "require-no-op": Mutant(
+        "src/markov_bayes/suites.py",
+        "raise _CheckFailed(message)",
+        "pass",
+        ("tests/test_law_faults.py::test_batch_returning_the_prior_breaks_coincidence",
+         "tests/test_law_faults.py::test_factorized_batch_dropping_the_last_observation_breaks_zn",
+         "tests/test_law_faults.py::test_sequential_skipping_the_last_row_breaks_gauss"),
+    ),
+    "coincidence-law-dropped": Mutant(
+        "src/markov_bayes/suites.py",
+        "trace.final == batch_update(model, data)",
+        "True",
+        ("tests/test_law_faults.py::test_batch_returning_the_prior_breaks_coincidence",),
+    ),
+    "zn-law-dropped": Mutant(
+        "src/markov_bayes/suites.py",
+        "literal == factorized",
+        "True",
+        ("tests/test_law_faults.py::test_factorized_batch_dropping_the_last_observation_breaks_zn",),
     ),
     "ps-induced-not-canonical": Mutant(
         "src/markov_bayes/ps.py",
