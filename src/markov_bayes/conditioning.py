@@ -8,14 +8,16 @@ conditioning event has probability zero, the row is filled with the uniform
 distribution; that fixed choice makes inverses canonical and lets equality
 of conditionals be tested with ``==``.
 
-Every kernel built here from validated inputs goes through the unchecked
-``finstoch._trusted``: the results are stochastic by construction.
+Inversion, disintegration and conditioning are one operation seen from
+different sides (Cho and Jacobs, arXiv:1709.00322): each normalizes blocks
+of integer joint weights by the one rule of ``finstoch._normalize`` and
+builds its result unchecked, through ``finstoch._trusted``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .errors import NotAProductSpace, SpaceMismatch
 from .finstoch import (
@@ -23,6 +25,7 @@ from .finstoch import (
     Kernel,
     FinSpace,
     State,
+    _normalize,
     _trusted,
     compose,
     copy,
@@ -53,6 +56,14 @@ def _require_state(pi: Kernel) -> None:
         raise SpaceMismatch(f"{pi!r} is not a state")
 
 
+def _require_prior(pi: Kernel, f: Kernel) -> None:
+    _require_state(pi)
+    if pi.target != f.source:
+        raise SpaceMismatch(
+            f"state on {pi.target.name!r} does not match source of {f!r}"
+        )
+
+
 def support(pi: State) -> Support:
     _require_state(pi)
     members = frozenset(
@@ -67,11 +78,7 @@ def canonicalize(f: Kernel, pi: State) -> Kernel:
     This picks a fixed representative of the class of kernels that agree
     almost surely under ``pi``.
     """
-    _require_state(pi)
-    if pi.target != f.source:
-        raise SpaceMismatch(
-            f"state on {pi.target.name!r} cannot canonicalize {f!r}"
-        )
+    _require_prior(pi, f)
     width = len(f.target)
     filler = (1,) * width
     probs = pi._num[0]
@@ -91,11 +98,7 @@ def jointify(pi: State, f: Kernel) -> State:
     Built by copying the ``X`` outcome and feeding one copy through ``f``,
     so the result weighs ``(x, y)`` by ``pi(x) * f(x)(y)``.
     """
-    _require_state(pi)
-    if pi.target != f.source:
-        raise SpaceMismatch(
-            f"state on {pi.target.name!r} does not match source of {f!r}"
-        )
+    _require_prior(pi, f)
     x = f.source
     return compose(pi, compose(copy(x), tensor(identity(x), f)))
 
@@ -115,24 +118,12 @@ def disintegrate(omega: State) -> Disintegration:
     x, y = omega.target.factors
     ny = len(y)
     joint = omega._num[0]
-    marg, num, den = [], [], []
-    for i in range(len(x)):
-        block = joint[i * ny : (i + 1) * ny]
-        total = sum(block)
-        marg.append(total)
-        if total:
-            c = gcd(*block)
-            num.append(block if c == 1 else tuple([p // c for p in block]))
-            den.append(total // c)
-        else:
-            num.append((1,) * ny)
-            den.append(ny)
-    c = gcd(*marg)
+    num, den, marg = _normalize(
+        [joint[i * ny : (i + 1) * ny] for i in range(len(x))], ny
+    )
+    mnum, mden, _ = _normalize([marg], len(x))
     return Disintegration(
-        marginal=_trusted(
-            UNIT, x, (tuple([p // c for p in marg]),), (omega._den[0] // c,)
-        ),
-        channel=_trusted(x, y, tuple(num), tuple(den)),
+        marginal=_trusted(UNIT, x, mnum, mden), channel=_trusted(x, y, num, den)
     )
 
 
@@ -149,36 +140,23 @@ def invert(f: Kernel, pi: State) -> Kernel:
     mass under the same scale, which cancels when each weight is divided by
     it.
     """
-    _require_state(pi)
-    if pi.target != f.source:
-        raise SpaceMismatch(
-            f"state on {pi.target.name!r} does not match source of {f!r}"
-        )
-    nx = len(f.source)
+    _require_prior(pi, f)
     prior = pi._num[0]
     scale = lcm(*f._den)
     rescale = [scale // d for d in f._den]
+    weights = [p * r for p, r in zip(prior, rescale)]
+    columns = list(zip(*f._num))
     # The prior's numerators have gcd 1.  If the rows it weighs have no
     # zero, a common factor of a column's weights therefore divides the lcm
     # of that column's small likelihood numerators, and starting the gcd
     # there spares a gcd of two large weights.
-    bounded = all(0 not in row for p, row in zip(prior, f._num) if p)
-    weights = [p * r for p, r in zip(prior, rescale)]
-    num, den = [], []
-    for column in zip(*f._num):
-        joint = [a * e for a, e in zip(weights, column)]
-        mass = sum(joint)
-        if not mass:
-            num.append((1,) * nx)
-            den.append(nx)
-            continue
-        if bounded:
-            c = gcd(lcm(*[r * e for r, e in zip(rescale, column) if e]), *joint)
-        else:
-            c = gcd(*joint)
-        num.append(tuple([w // c for w in joint]))
-        den.append(mass // c)
-    return _trusted(f.target, f.source, tuple(num), tuple(den))
+    seeds = None
+    if all(0 not in row for p, row in zip(prior, f._num) if p):
+        seeds = [lcm(*[r * e for r, e in zip(rescale, c) if e]) for c in columns]
+    num, den, _ = _normalize(
+        ([a * e for a, e in zip(weights, c)] for c in columns), len(f.source), seeds
+    )
+    return _trusted(f.target, f.source, num, den)
 
 
 def as_equal(f: Kernel, g: Kernel, pi: State) -> bool:
@@ -199,11 +177,7 @@ def is_uniquely_invertible_at(f: Kernel, pi: State, y: str) -> bool:
     Exactly at such outputs every Bayesian inverse of ``f`` has the same
     row, so conditioning on ``y`` is unambiguous.
     """
-    _require_state(pi)
-    if pi.target != f.source:
-        raise SpaceMismatch(
-            f"state on {pi.target.name!r} does not match source of {f!r}"
-        )
+    _require_prior(pi, f)
     j = f.target.index(y)
     return compose(pi, f)._num[0][j] != 0
 
@@ -220,13 +194,8 @@ def condition(s: Kernel) -> Kernel:
             f"target {s.target.name!r} of {s!r} has no recorded product structure"
         )
     x, y = s.target.factors
-    a = s.source
-    channels = [
-        disintegrate(_trusted(UNIT, s.target, (row,), (d,))).channel
-        for row, d in zip(s._num, s._den)
-    ]
-    src = product(x, a)
-    na = len(a)
-    num = tuple(channels[i % na]._num[i // na] for i in range(len(src)))
-    den = tuple(channels[i % na]._den[i // na] for i in range(len(src)))
-    return _trusted(src, y, num, den)
+    ny = len(y)
+    num, den, _ = _normalize(
+        (row[i * ny : (i + 1) * ny] for i in range(len(x)) for row in s._num), ny
+    )
+    return _trusted(product(x, s.source), y, num, den)

@@ -38,12 +38,13 @@ which is what licenses applying them as functions.
 Checking happens once, at the public constructors: :class:`Kernel` and
 :func:`state` validate types, shapes and exact row sums, in the one loop
 that the readers of :mod:`markov_bayes.serialize` also run on parsed
-integer pairs.  Operations on validated kernels (composition, products, the
-structural channels, and the inversion and conditioning of
-:mod:`markov_bayes.conditioning`) build their results through the private,
-unchecked :func:`_trusted`, because stochastic kernels are closed under them
-by theorem; ``tests/test_closure.py`` checks that every such result equals
-the checked construction of the same rows.
+integer pairs.  Operations on validated kernels build their results through
+the private, unchecked :func:`_trusted`, because stochastic kernels are
+closed under them by theorem; ``tests/test_closure.py`` checks that every
+such result equals the checked construction of the same rows.  Every exact
+conditional and the joint observation channel get their rows from one rule,
+:func:`_normalize`: blocks of integer weights over their masses, uniform at
+zero mass.
 
 Product spaces keep a record of their two factors.  That record is a
 construction artifact: space equality looks only at the name and the labels,
@@ -67,6 +68,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import repeat
 from math import gcd, lcm, prod
 from weakref import WeakValueDictionary
 
@@ -648,6 +650,25 @@ def _trusted(source: FinSpace, target: FinSpace, num, den) -> Kernel:
     k = object.__new__(Kernel)
     k.__dict__.update(source=source, target=target, _num=num, _den=den, _map=None)
     return k
+
+
+def _normalize(blocks, width: int, seeds=None):
+    """Rows, denominators and masses of blocks of ``width`` integer weights:
+    each block over its mass in lowest terms, uniform at zero mass.  A seed,
+    if given, is a multiple of its block's gcd, cheap to start the gcd from."""
+    fill = (1,) * width
+    num, den, masses = [], [], []
+    for block, seed in zip(blocks, repeat(0) if seeds is None else seeds):
+        mass = sum(block)
+        masses.append(mass)
+        if not mass:
+            num.append(fill)
+            den.append(width)
+            continue
+        c = gcd(seed, *block)
+        num.append(tuple(block) if c == 1 else tuple([w // c for w in block]))
+        den.append(mass // c)
+    return tuple(num), tuple(den), masses
 
 
 def _factored(target: FinSpace, base, factors) -> State:

@@ -125,19 +125,25 @@ def _factor(data: RegressionData, sigma: float, prior: GaussPosterior | None = N
     except np.linalg.LinAlgError:
         cond = math.nan
     if not cond * cond < MAX_NORMAL_CONDITION:
+        cause = "" if np.isfinite(rows).all() else f" at noise scale {sigma:g}"
         raise RankDeficient(
             f"normal matrix condition {cond * cond:.3e} exceeds "
-            f"{MAX_NORMAL_CONDITION:.0e}"
+            f"{MAX_NORMAL_CONDITION:.0e}{cause}"
         )
     return r
 
 
 def _posterior(mean: np.ndarray, root: np.ndarray, sigma: float) -> GaussPosterior:
-    """The posterior with covariance ``root root^T``, refused if it overflowed."""
+    """The posterior with covariance ``root root^T``, refused if it left the
+    float range: a non-finite entry, or a variance below the normal floats."""
     cov = root @ root.T
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise RankDeficient(
             f"the posterior at noise scale {sigma:g} overflows the float range"
+        )
+    if np.diagonal(cov).min() < np.finfo(float).tiny:
+        raise RankDeficient(
+            f"the posterior at noise scale {sigma:g} underflows the float range"
         )
     return GaussPosterior(mean=mean, cov=cov)
 
@@ -196,7 +202,7 @@ def gauss_sequential(
     conditioned covariance ``cov - a (cov x)(cov x)^T``.  The outer product
     is written into one buffer and scaled there, so a step allocates no
     matrix.  The guard runs once, on the batch route's factor of the same
-    rows, and a result that overflowed is refused.
+    rows, and a result that left the float range is refused.
     """
     sigma = _check_noise(sigma)
     _factor(data, sigma, prior)
@@ -207,7 +213,11 @@ def gauss_sequential(
     for x, y in zip(data.design, data.targets.tolist()):
         f = x @ root
         gain = root @ f
-        a = 1.0 / (float(f @ f) + var)
+        try:
+            a = 1.0 / (float(f @ f) + var)
+        except ZeroDivisionError:  # a row predicted with no variance: cov underflowed
+            root[:] = 0.0
+            break
         mean += (a * float(y - x @ mean)) * gain
         np.multiply(gain[:, None], f, out=step)
         step *= a / (1.0 + math.sqrt(a * var))

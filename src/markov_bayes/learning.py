@@ -42,6 +42,7 @@ from .finstoch import (
     State,
     _coprime_base,
     _factored,
+    _normalize,
     _split,
     _trusted,
     compose,
@@ -129,20 +130,19 @@ def joint_channel(model: Model) -> Kernel:
     the parameter, copies the input and runs the model on one copy.  The
     ``coincidence`` law suite checks it against that diagram.
     """
+    z = observation_space(model)
     nx = len(model.input_space)
-    px, a = model.input_state._num[0], model.input_state._den[0]
+    px = model.input_state._num[0]
     cnum, cden = model.channel._num, model.channel._den
-    num, den = [], []
+    rows = []
     for start in range(0, len(cnum), nx):
         block = range(start, start + nx)
         scale = lcm(*[cden[i] for i in block])
-        row = [
-            p * (scale // cden[i]) * e for p, i in zip(px, block) for e in cnum[i]
-        ]
-        c = gcd(*row)
-        num.append(tuple([w // c for w in row]))
-        den.append(a * scale // c)
-    return _trusted(model.params, observation_space(model), tuple(num), tuple(den))
+        rows.append(
+            [p * (scale // cden[i]) * e for p, i in zip(px, block) for e in cnum[i]]
+        )
+    num, den, _ = _normalize(rows, len(z))
+    return _trusted(model.params, z, num, den)
 
 
 def _observation_indices(model: Model, data: TrainingSet) -> list[int]:

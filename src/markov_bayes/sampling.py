@@ -29,10 +29,8 @@ def rand_dist(
     return tuple(Fraction(w, total) for w in weights)
 
 
-def rand_space(
-    rng: random.Random, name: str, max_size: int = 4, min_size: int = 1
-) -> FinSpace:
-    n = rng.randint(min_size, max_size)
+def rand_space(rng: random.Random, name: str, max_size: int = 4) -> FinSpace:
+    n = rng.randint(1, max_size)
     prefix = name.lower()
     return FinSpace(name, tuple(f"{prefix}{i}" for i in range(n)))
 

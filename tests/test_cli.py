@@ -549,6 +549,39 @@ def test_gauss_overflow_names_the_point_or_the_sigma(capsys, tmp_path, action, a
     assert json.loads(err)["message"] == message
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ("1e-160", "the posterior at noise scale 1e-160 underflows the float range"),
+        ("1e-200", "the posterior at noise scale 1e-200 underflows the float range"),
+        ("1e-300", "the posterior at noise scale 1e-300 underflows the float range"),
+        # 1e-320 is subnormal, so it reads back as the float it parsed to
+        ("1e-320", f"normal matrix condition inf exceeds 1e+12 at noise scale {1e-320:g}"),
+    ],
+)
+def test_gauss_fit_refusal_names_a_tiny_noise_scale(capsys, tmp_path, sigma, message):
+    path = tmp_path / "r.csv"
+    path.write_text("x1,y\n1,2\n2,3\n3,5\n")
+    code, out, err = run(capsys, "gauss", "fit", str(path), "--sigma", sigma)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "validation", "type": "RankDeficient", "message": message,
+    }
+
+
+@pytest.mark.parametrize("mode", ["seq", "batch"])
+def test_gauss_update_refuses_a_posterior_that_underflows(capsys, tmp_path, mode):
+    prior = write_json(tmp_path, "prior.json", {"mean": [0.5], "cov": [[1.0]]})
+    path = tmp_path / "r.csv"
+    path.write_text("x1,y\n1,2\n2,3\n3,5\n")
+    argv = ["gauss", "update", prior, str(path), "--sigma", "1e-300", "--mode", mode]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == (
+        "the posterior at noise scale 1e-300 underflows the float range"
+    )
+
+
 def test_gauss_fit_rank_deficient_exits_one(capsys, tmp_path):
     path = tmp_path / "thin.csv"
     path.write_text("x1,x2,y\n1.0,2.0,3.0\n")

@@ -122,6 +122,33 @@ MUTANTS = {
         "tuple(format_row(terms[::-1]))",
         ("tests/test_cli.py::test_learn_seq_output_is_byte_for_byte_pinned",),
     ),
+    # the one normalizer of every exact conditional, and its callers in
+    # conditioning
+    "normalize-fill-point-mass": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "fill = (1,) * width",
+        "fill = (width,) + (0,) * (width - 1)",
+        ("tests/test_conditioning.py::test_invert_uniform_rows_off_the_pushforward_support",
+         "tests/test_conditioning.py::test_disintegrate_fills_dead_rows_uniformly"),
+    ),
+    "normalize-mass-unreduced": Mutant(
+        "src/markov_bayes/finstoch.py",
+        "den.append(mass // c)",
+        "den.append(mass)",
+        ("tests/test_closure.py::test_inversion_and_conditioning_are_closed",),
+    ),
+    "invert-seed-one": Mutant(
+        "src/markov_bayes/conditioning.py",
+        "seeds = [lcm(*[r * e for r, e in zip(rescale, c) if e]) for c in columns]",
+        "seeds = [1 for c in columns]",
+        ("tests/test_conditioning.py::test_invert_matches_the_pushforward_route",),
+    ),
+    "condition-blocks-transposed": Mutant(
+        "src/markov_bayes/conditioning.py",
+        "for i in range(len(x)) for row in s._num",
+        "for row in s._num for i in range(len(x))",
+        ("tests/test_conditioning.py::test_condition_rebuilds_the_joint_rows",),
+    ),
     # the Gaussian backend's QR factor, its one guard, and its finite inputs
     # and results
     "gauss-r-perturbed": Mutant(
@@ -141,6 +168,12 @@ MUTANTS = {
         "    return _posterior(mean, root, sigma)\n",
         "    return GaussPosterior(mean=mean, cov=root @ root.T)\n",
         ("tests/test_cli.py::test_gauss_seq_refuses_the_overflowed_root_of_a_prior_that_batch_absorbs",),
+    ),
+    "gauss-underflow-check-dropped": Mutant(
+        "src/markov_bayes/gauss.py",
+        "if np.diagonal(cov).min() < np.finfo(float).tiny:",
+        "if False:",
+        ("tests/test_cli.py::test_gauss_fit_refusal_names_a_tiny_noise_scale",),
     ),
     "gauss-finite-check-dropped": Mutant(
         "src/markov_bayes/gauss.py",
