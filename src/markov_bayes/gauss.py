@@ -199,29 +199,45 @@ def gauss_sequential(
 
     Each row ``x`` with ``f = S^T x`` and ``a = 1 / (f.f + sigma^2)`` moves
     ``S`` to ``S - a / (1 + sqrt(a sigma^2)) (S f) f^T``, whose square is the
-    conditioned covariance ``cov - a (cov x)(cov x)^T``.  The outer product
-    is written into one buffer and scaled there, so a step allocates no
-    matrix.  The guard runs once, on the batch route's factor of the same
-    rows, and a result that left the float range is refused.
+    conditioned covariance ``cov - a (cov x)(cov x)^T``, and the mean ``m``
+    to ``m + a (y - x.m) S f``.  The guard runs once, on the batch route's
+    factor of the same rows, and a result that left the float range is
+    refused.
+
+    A row costs four products of at most ``d x d``, so call overhead, not
+    arithmetic, sets its time.  ``S`` and ``m`` are the rows of one
+    ``(d+1) x d`` state, both C-contiguous.  A row's two moves are written
+    into one step buffer of that shape, which is subtracted once, and
+    ``S f`` goes into a column buffer that broadcasts against ``f``.  The
+    products call ``ndarray.dot``, which dispatches faster than the ``@``
+    gufunc.  ``x S`` and ``x.m`` stay two products: BLAS blocks a
+    matrix-vector product by its width, so a fused ``x [S | m]`` can change
+    the last bit of ``f``.
     """
     sigma = _check_noise(sigma)
     _factor(data, sigma, prior)
     var = sigma * sigma
-    mean = prior.mean.copy()
-    root = prior.root.copy()
-    step = np.empty_like(root)
+    dim = prior.mean.shape[0]
+    state = np.empty((dim + 1, dim))
+    root, mean = state[:dim], state[dim]
+    root[:] = prior.root
+    mean[:] = prior.mean
+    step = np.empty_like(state)
+    outer, shift = step[:dim], step[dim]
+    column = np.empty((dim, 1))
+    gain = column[:, 0]
     for x, y in zip(data.design, data.targets.tolist()):
-        f = x @ root
-        gain = root @ f
+        f = x.dot(root)
+        root.dot(f, out=gain)
         try:
-            a = 1.0 / (float(f @ f) + var)
+            a = 1.0 / (float(f.dot(f)) + var)
         except ZeroDivisionError:  # a row predicted with no variance: cov underflowed
             root[:] = 0.0
             break
-        mean += (a * float(y - x @ mean)) * gain
-        np.multiply(gain[:, None], f, out=step)
-        step *= a / (1.0 + math.sqrt(a * var))
-        root -= step
+        np.multiply(gain, a * float(x.dot(mean) - y), out=shift)
+        np.multiply(column, f, out=outer)
+        outer *= a / (1.0 + math.sqrt(a * var))
+        state -= step
     return _posterior(mean, root, sigma)
 
 

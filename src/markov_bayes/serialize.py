@@ -296,6 +296,10 @@ def regression_data_to_csv(data: RegressionData) -> str:
     return buf.getvalue()
 
 
+#: Rows the regression CSV reader converts at a time.
+CSV_BLOCK_ROWS = 512
+
+
 def _bad_record(records: list[str], width: int) -> ValueError:
     """The error for the first record, in file order, that is not ``width`` numbers."""
     for line, record in enumerate(records, start=2):
@@ -316,10 +320,13 @@ def regression_data_from_csv(text: str) -> RegressionData:
 
     Lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, and blank lines are
     skipped.  Every field is a bare number as Python ``float`` reads it;
-    there is no quoting, so a quoted field is non-numeric.  All fields are
-    converted in one pass, and only a failure goes back over the records to
-    name a line: first the earliest with a wrong field count or a
-    non-numeric field, then the earliest with a non-finite field.
+    there is no quoting, so a quoted field is non-numeric.  Every row's
+    field count is checked first.  Then the rows are converted in blocks of
+    :data:`CSV_BLOCK_ROWS` into one preallocated array, so only one block's
+    field strings are alive at a time.  Only a failure goes back over the
+    records to name a line: first the earliest with a wrong field count or
+    a non-numeric field, then, once every block is converted, the earliest
+    with a non-finite field.
     """
     import numpy as np
 
@@ -339,11 +346,14 @@ def regression_data_from_csv(text: str) -> RegressionData:
     rows = list(filter(None, records))
     if any(row.count(",") != dim for row in rows):
         raise _bad_record(records, dim + 1)
-    try:
-        values = np.array(",".join(rows).split(",") if rows else [], dtype=float)
-    except ValueError:
-        raise _bad_record(records, dim + 1) from None
-    values = values.reshape(-1, dim + 1)
+    values = np.empty((len(rows), dim + 1))
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        try:
+            fields = np.array(",".join(block).split(","), dtype=float)
+        except ValueError:
+            raise _bad_record(records, dim + 1) from None
+        values[start:start + len(block)] = fields.reshape(len(block), dim + 1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         lines = [line for line, record in enumerate(records, start=2) if record]

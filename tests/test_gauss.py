@@ -381,6 +381,18 @@ def _potter_designs():
             data = RegressionData(design=design, targets=data.targets)
             cov = 1e12 * np.eye(dim + 1)
         yield f"random-{case}", data, rng.uniform(0.05, 3.0), cov
+    # every width from 1 to 9, where BLAS changes how it blocks a product,
+    # with the design laid out as the CSV reader leaves it: a column slice
+    # of one array that also holds the targets
+    rng = random.Random(32)
+    for dim in range(1, 10):
+        npr = np.random.default_rng(dim)
+        data = make_data(rng, rng.randint(40, 120), dim)
+        values = np.column_stack([data.design, data.targets])
+        data = RegressionData(design=values[:, :dim], targets=values[:, dim])
+        a = npr.normal(size=(dim, dim))
+        cov = a @ a.T + 10.0 ** rng.randint(-2, 10) * np.eye(dim)
+        yield f"width-{dim}", data, rng.uniform(0.05, 3.0), cov
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +37,7 @@ from markov_bayes.sampling import (
     rand_state,
 )
 from markov_bayes.serialize import (
+    CSV_BLOCK_ROWS,
     gauss_posterior_from_json,
     gauss_posterior_to_json,
     kernel_from_json,
@@ -298,6 +300,23 @@ def test_regression_csv_errors():
             regression_data_from_csv(f"x1,y\n1,2\n3,{field}\n")
 
 
+def test_regression_csv_reader_peaks_under_three_times_the_file_size():
+    npr = np.random.default_rng(5000)
+    x = npr.uniform(-1.0, 1.0, (5000, 8))
+    y = x @ npr.uniform(-2.0, 2.0, 8) + 0.5 * npr.standard_normal(5000)
+    text = "x1,x2,x3,x4,x5,x6,x7,x8,y\n" + "".join(
+        ",".join(map(repr, row)) + f",{t!r}\n" for row, t in zip(x.tolist(), y.tolist())
+    )
+    tracemalloc.start()
+    try:
+        data = regression_data_from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.design, x) and np.array_equal(data.targets, y)
+    assert peak <= 3 * len(text), peak / len(text)
+
+
 # ---------- the regression CSV reader against the csv-module reader ----------
 
 
@@ -343,6 +362,10 @@ def _random_field(rng: random.Random) -> str:
         return rng.choice(["nan", "inf", "-Infinity", "NaN", "+inf"])
     if roll < 0.016:
         return rng.choice(["oops", "", " ", "1..2", "0x10", "1_", "--1", "1e"])
+    return _number_field(rng)
+
+
+def _number_field(rng: random.Random) -> str:
     value = rng.uniform(-1e3, 1e3)
     form = rng.randrange(6)
     if form == 0:
@@ -416,23 +439,77 @@ def _same_outcome(a, b) -> bool:
     return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def _reference_outcome(text: str):
+    """The reader's outcome on ``text``, which must be the reference's."""
+    got = _read_outcome(regression_data_from_csv, text)
+    # A file read in text mode ends lines at "\n", "\r\n" and a lone "\r".
+    # On a string that keeps a lone "\r", csv either stops with csv.Error
+    # or reads "\r\r\n" as one line end, so the reference reads what the
+    # file read would give.
+    want = _read_outcome(_csv_module_reader, io.StringIO(text, newline=None).getvalue())
+    if not re.search("\r(?!\n)", text):
+        assert _same_outcome(_read_outcome(_csv_module_reader, text), want)
+    assert _same_outcome(got, want), (text, got, want)
+    return want
+
+
+def _outcome_kind(outcome) -> str:
+    return outcome[1].split(": ")[-1] if isinstance(outcome[0], type) else "parsed"
+
+
 def test_regression_csv_reader_matches_the_csv_module_reader():
     kinds = Counter()
     for seed in range(400):
-        text = _random_regression_csv(random.Random(seed))
-        got = _read_outcome(regression_data_from_csv, text)
-        # A file read in text mode ends lines at "\n", "\r\n" and a lone
-        # "\r".  On a string that keeps a lone "\r", csv either stops with
-        # csv.Error or reads "\r\r\n" as one line end, so the reference
-        # reads what the file read would give.
-        want = _read_outcome(
-            _csv_module_reader, io.StringIO(text, newline=None).getvalue()
-        )
-        if not re.search("\r(?!\n)", text):
-            assert _same_outcome(_read_outcome(_csv_module_reader, text), want)
-        assert _same_outcome(got, want), (text, got, want)
-        kinds[want[1].split(": ")[-1] if isinstance(want[0], type) else "parsed"] += 1
+        want = _reference_outcome(_random_regression_csv(random.Random(seed)))
+        kinds[_outcome_kind(want)] += 1
     for kind in ("parsed", "non-finite field", "non-numeric field",
                  "need at least one observation", "regression CSV is empty"):
         assert kinds[kind] >= 5, kinds
     assert sum(v for k, v in kinds.items() if k.startswith("expected")) >= 20, kinds
+
+
+def _block_spanning_csv(rng: random.Random, fault: str) -> str:
+    """A file of 2 to 3 reader blocks with a blank line on each block
+    boundary and at most two planted faults."""
+    dim = rng.randint(1, 4)
+    n_rows = rng.randint(CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS)
+    rows = [[_number_field(rng) for _ in range(dim + 1)] for _ in range(n_rows)]
+    last = (n_rows - 1) // CSV_BLOCK_ROWS * CSV_BLOCK_ROWS
+    if fault in ("non-finite", "non-numeric"):
+        at = rng.randrange(last, n_rows)
+        rows[at][rng.randrange(dim + 1)] = "inf" if fault == "non-finite" else "oops"
+    elif fault == "non-finite-then-non-numeric":
+        # the reference names a non-numeric field before any non-finite one
+        rows[rng.randrange(last)][0] = "nan"
+        rows[rng.randrange(last, n_rows)][dim] = "1..2"
+    elif fault == "non-numeric-then-short":
+        rows[rng.randrange(CSV_BLOCK_ROWS)][0] = "oops"
+        rows[rng.randrange(CSV_BLOCK_ROWS, n_rows)].pop()
+    lines = ["x" + ",x".join(str(i + 1) for i in range(dim)) + ",y"]
+    lines += [",".join(row) for row in rows]
+    # a blank line on each block boundary, and a few anywhere
+    for boundary in range(2 * CSV_BLOCK_ROWS, 0, -CSV_BLOCK_ROWS):
+        if boundary < n_rows:
+            lines.insert(boundary + 1, "")
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randrange(1, len(lines)), "")
+    end = rng.choice(["\n", "\r\n", "\r"])
+    return end.join(lines) + end
+
+
+def test_regression_csv_reader_matches_the_csv_module_reader_across_blocks():
+    faults = ["none", "non-finite", "non-numeric", "non-finite-then-non-numeric",
+              "non-numeric-then-short"]
+    kinds = Counter()
+    for seed in range(25):
+        fault = faults[seed % len(faults)]
+        text = _block_spanning_csv(random.Random(seed), fault)
+        want = _reference_outcome(text)
+        kinds[_outcome_kind(want)] += 1
+        if fault == "non-numeric-then-short":
+            line = next(i for i, record in enumerate(text.splitlines(), start=1)
+                        if "oops" in record)
+            assert want[1] == f"regression CSV line {line}: non-numeric field"
+        elif fault != "none":
+            assert _outcome_kind(want) == fault.split("-then-")[-1] + " field", want
+    assert kinds == Counter({"parsed": 5, "non-finite field": 5, "non-numeric field": 15})

@@ -181,6 +181,19 @@ MUTANTS = {
         "if False:",
         ("tests/test_gauss.py::test_posterior_refuses_non_finite_entries",),
     ),
+    "potter-mean-shift-flipped": Mutant(
+        "src/markov_bayes/gauss.py",
+        "a * float(x.dot(mean) - y)",
+        "a * float(y - x.dot(mean))",
+        ("tests/test_gauss.py::test_sequential_is_bit_identical_to_the_outer_product_loop",),
+    ),
+    # the regression CSV reader's blocks
+    "csv-block-misplaced": Mutant(
+        "src/markov_bayes/serialize.py",
+        "values[start:start + len(block)] = ",
+        "values[:len(block)] = ",
+        ("tests/test_serialize.py::test_regression_csv_reader_matches_the_csv_module_reader_across_blocks",),
+    ),
     # the laws of the seq = batch claim, each against its planted fault
     "require-no-op": Mutant(
         "src/markov_bayes/suites.py",
