@@ -51,11 +51,9 @@ def rand_kernel(
     )
 
 
-def rand_ps_object(
-    rng: random.Random, name: str, max_size: int = 4, full_support: bool = False
-) -> PSObject:
+def rand_ps_object(rng: random.Random, name: str, max_size: int = 4) -> PSObject:
     space = rand_space(rng, name, max_size)
-    return PSObject(space, rand_state(rng, space, full_support))
+    return PSObject(space, rand_state(rng, space))
 
 
 def rand_ps_morphism(
@@ -71,15 +69,11 @@ def rand_ps_morphism(
 
 
 def rand_para_morphism(
-    rng: random.Random,
-    src: PSObject,
-    param_name: str,
-    tgt_name: str,
-    max_size: int = 3,
+    rng: random.Random, src: PSObject, param_name: str, tgt_name: str
 ) -> ParaMorphism:
-    param = rand_ps_object(rng, param_name, max_size)
+    param = rand_ps_object(rng, param_name, 3)
     paired = ps_tensor(param, src)
-    tgt = rand_space(rng, tgt_name, max_size)
+    tgt = rand_space(rng, tgt_name, 3)
     body = ps_induced(paired, rand_kernel(rng, paired.space, tgt))
     return ParaMorphism(param, src, body.dst, body)
 

@@ -1,20 +1,23 @@
 """Planted faults: a law fails when the route it checks is wrong.
 
 Each test patches one production function inside the module a suite reads
-it from, so that it is wrong in one realistic way, and runs a few cases of
-that suite.  The report must carry that law's message: a law that still
-passes with its route broken checks nothing.  The inversion and dagger
-laws each have a fault in ``FAULTS``, and a test keeps every law of those
-two suites covered.
+it from, or a writer in the suites' codec table, so that it is wrong in one
+realistic way, and runs a few cases of that suite.  The report must carry
+that law's message: a law that still passes with its route broken checks
+nothing.  The inversion and dagger
+laws each have a fault in ``FAULTS``, the roundtrip laws each have one in
+``ROUNDTRIP_FAULTS``, and a test keeps every law of those three suites
+covered.
 """
 
 import ast
 import inspect
+import random
 
 import pytest
 
 import markov_bayes.gauss as gauss
-from markov_bayes import suites
+from markov_bayes import serialize, suites
 from markov_bayes.conditioning import Disintegration
 from markov_bayes.finstoch import (
     Kernel,
@@ -24,8 +27,9 @@ from markov_bayes.finstoch import (
     uniform_row,
     uniform_state,
 )
-from markov_bayes.learning import TrainingSet
-from markov_bayes.ps import _ps_trusted, ps_tensor
+from markov_bayes.learning import Model, TrainingSet
+from markov_bayes.paralens import LensMorphism
+from markov_bayes.ps import PSMorphism, _ps_trusted, dagger, ps_tensor
 from markov_bayes.suites import run_suite
 
 CASES = 10
@@ -141,15 +145,85 @@ def test_each_inversion_and_dagger_law_fails_under_its_fault(monkeypatch, messag
     assert message in _messages(suite)
 
 
+def _rotated_kernel_to_json(k):
+    return serialize.kernel_to_json(_rotated(k))
+
+
+def _model_to_json_with_a_uniform_prior(model):
+    doc = serialize.model_to_json(model)
+    return {**doc, "prior": serialize.state_to_map(uniform_state(model.params))}
+
+
+def _training_set_to_csv_dropping_the_last(data):
+    return serialize.training_set_to_csv(TrainingSet(data.pairs[:-1]))
+
+
+def _lens_to_json_swapped(lens):
+    return serialize.lens_to_json(LensMorphism(lens.backward, lens.forward))
+
+
+def _state_to_map_rotated(st):
+    return dict(zip(st.target.elements, st._texts[0][1:] + st._texts[0][:1]))
+
+
+# the real writer, which the fault below wraps
+_regression_data_to_csv = serialize.regression_data_to_csv
+
+
+def _regression_data_to_csv_to_12_decimals(data):
+    return _regression_data_to_csv(
+        gauss.RegressionData(data.design.round(12), data.targets.round(12))
+    )
+
+
+#: Each law message of the roundtrip suite, with the fault that breaks it:
+#: a type whose writer in ``suites._CODECS`` the fault replaces, or the name
+#: of a function in ``serialize`` that the table's writers or the check call.
+ROUNDTRIP_FAULTS = {
+    "integer does not round trip": (int, str),
+    "kernel does not round trip": (Kernel, _rotated_kernel_to_json),
+    "model does not round trip": (Model, _model_to_json_with_a_uniform_prior),
+    "training set does not round trip":
+        (TrainingSet, _training_set_to_csv_dropping_the_last),
+    "state-preserving morphism does not round trip":
+        (PSMorphism, lambda m: serialize.ps_morphism_to_json(dagger(m))),
+    "lens does not round trip": (LensMorphism, _lens_to_json_swapped),
+    "product structure is lost in a round trip":
+        ("space_to_json", lambda s: {"name": s.name, "elements": list(s.elements)}),
+    "state map does not round trip": ("state_to_map", _state_to_map_rotated),
+    "regression data does not round trip bit-exactly":
+        ("regression_data_to_csv", _regression_data_to_csv_to_12_decimals),
+}
+
+
+@pytest.mark.parametrize("message", sorted(ROUNDTRIP_FAULTS))
+def test_each_roundtrip_law_fails_under_its_fault(monkeypatch, message):
+    target, fault = ROUNDTRIP_FAULTS[message]
+    if isinstance(target, str):
+        monkeypatch.setattr(serialize, target, fault)
+    else:
+        name, _, from_json = suites._CODECS[target]
+        monkeypatch.setitem(suites._CODECS, target, (name, fault, from_json))
+    assert message in _messages("roundtrip")
+
+
 def test_every_inversion_and_dagger_law_has_a_fault():
+    """Also every roundtrip law: its literal messages and the table's."""
     tree = ast.parse(inspect.getsource(suites))
     messages = {
         node.args[1].value
         for function in tree.body
         if isinstance(function, ast.FunctionDef)
-        and function.name in ("_inversion_check", "_dagger_check")
+        and function.name in ("_inversion_check", "_dagger_check", "_roundtrip_check")
         for node in ast.walk(function)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_require"
+        and isinstance(node.args[1], ast.Constant)
     }
-    assert messages - FAULTS.keys() - EXEMPT == set()
-    assert FAULTS.keys() | EXEMPT <= messages
+    drawn = suites._roundtrip_draw(random.Random(SEED)).values()
+    messages |= {
+        f"{suites._CODECS[type(value)][0]} does not round trip" for value in drawn
+    }
+    faulted = FAULTS.keys() | ROUNDTRIP_FAULTS.keys()
+    assert messages - faulted - EXEMPT == set()
+    assert faulted | EXEMPT <= messages

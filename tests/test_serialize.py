@@ -63,7 +63,7 @@ from markov_bayes.serialize import (
     training_set_from_csv,
     training_set_to_csv,
 )
-from markov_bayes.suites import _TO_JSON
+from markov_bayes.suites import _CODECS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -170,7 +170,7 @@ def test_learner_round_trips_with_a_lens_body(seed):
     assert para_from_json(doc) != model
     # the suites' failure serializer dispatches on type and writes either kind
     for case in (model, learner):
-        assert para_from_json(json.loads(json.dumps(_TO_JSON[ParaMorphism](case)))) == case
+        assert para_from_json(json.loads(json.dumps(_CODECS[ParaMorphism][1](case)))) == case
 
 
 # ---------- model bundles ----------

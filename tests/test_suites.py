@@ -7,16 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from markov_bayes import (
-    FinSpace,
-    Kernel,
-    Model,
-    ParaMorphism,
-    PSMorphism,
-    TrainingSet,
-    serialize,
-    suites,
-)
+from markov_bayes import Kernel, cli, suites
 from markov_bayes.suites import SUITES, case_seed, run_suite
 
 
@@ -86,17 +77,6 @@ def test_an_error_while_drawing_is_recorded_without_an_instance(monkeypatch):
     )
 
 
-_FROM_JSON = {
-    int: lambda n: n,
-    FinSpace: serialize.space_from_json,
-    Kernel: serialize.kernel_from_json,
-    PSMorphism: serialize.ps_morphism_from_json,
-    ParaMorphism: serialize.para_from_json,
-    Model: serialize.model_from_json,
-    TrainingSet: lambda pairs: TrainingSet(tuple(pairs)),
-}
-
-
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_failures_report_every_value_the_check_received(name):
     draw, check = SUITES[name]
@@ -114,5 +94,28 @@ def test_failures_report_every_value_the_check_received(name):
         json.dumps(failure.instance)
         assert set(failure.instance) == set(inspect.signature(check).parameters)
         for key, value in checked.items():
-            back = _FROM_JSON[type(value)](failure.instance[key])
+            back = suites._CODECS[type(value)][2](failure.instance[key])
             assert back == value, (name, key)
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError])
+def test_a_record_that_cannot_be_written_is_still_a_law_violation(
+    monkeypatch, capsys, error
+):
+    name, to_json, from_json = suites._CODECS[Kernel]
+
+    def writer(k):
+        if len(k.target) > 2:
+            raise error("cannot write this kernel")
+        return to_json(k)
+
+    monkeypatch.setitem(suites._CODECS, Kernel, (name, writer, from_json))
+    argv = ["check", "--suite", "roundtrip", "--cases", "3", "--seed", "7"]
+    assert cli.main(argv) == 3
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert failures
+    for failure in failures:
+        assert failure["instance"] is None
+        assert failure["message"].endswith(
+            f"; writing the instance failed: {error.__name__}('cannot write this kernel')"
+        )

@@ -215,6 +215,13 @@ MUTANTS = {
         "True",
         ("tests/test_law_faults.py::test_factorized_batch_dropping_the_last_observation_breaks_zn",),
     ),
+    # the roundtrip suite's one law driven by the codec table
+    "roundtrip-law-dropped": Mutant(
+        "src/markov_bayes/suites.py",
+        "_require(back == value, ",
+        "_require(True, ",
+        ("tests/test_law_faults.py::test_each_roundtrip_law_fails_under_its_fault",),
+    ),
     "ps-induced-not-canonical": Mutant(
         "src/markov_bayes/ps.py",
         "_ps_trusted(src, dst, canonicalize(f, src.state))",
